@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 
-from . import params as _params
-from .finfield import BinaryField, find_irreducible
-from .params import RKind, ceil_log2
+from .finfield import find_irreducible
+from .params import ExtractorParams, ceil_log2
 from .trevisan import BitBuffer
 
 
@@ -32,17 +31,6 @@ class XorExtractor:
         self.ell = ell
         self.idx_width = ceil_log2(n)
         self.t_req = ell * self.idx_width
-
-    @classmethod
-    def from_params(cls, p: _params.ExtractorParams) -> "XorExtractor":
-        return cls(p.n, p.ell)
-
-    def num_random_bits(self) -> int:
-        return self.t_req
-
-    def compute_k(self, m: int, alpha: float, mu: float, eps: float,
-                  r_kind: RKind = RKind.TWO_E) -> float:
-        return _params.xor_params(self.n, m, alpha, mu, eps, r_kind).k
 
     def extract(self, input: BitBuffer, subseed: BitBuffer) -> int:
         if len(subseed) < self.t_req:
@@ -65,26 +53,15 @@ class RshExtractor:
     p_alpha(x) = sum_i c_i alpha^(s-i).
     """
 
-    def __init__(self, n: int, l: int, field: BinaryField | None = None):
+    def __init__(self, n: int, l: int):
         if not 1 <= l <= 64:
             raise ValueError(f"block size l={l} outside [1, 64]")
         self.n = n
         self.l = l
         self.s = -(-n // l)
-        self.field = field if field is not None else find_irreducible(l)
+        self.field = find_irreducible(l)
         self.t_req = 2 * l
         self._cache: tuple[BitBuffer, list[int]] | None = None
-
-    @classmethod
-    def from_params(cls, p: _params.ExtractorParams) -> "RshExtractor":
-        return cls(p.n, p.ell)
-
-    def num_random_bits(self) -> int:
-        return self.t_req
-
-    def compute_k(self, m: int, alpha: float, eps: float,
-                  r_kind: RKind = RKind.TWO_E) -> float:
-        return _params.rsh_params(self.n, m, alpha, eps, r_kind).k
 
     def prepare(self, input: BitBuffer) -> list[int]:
         """Parse the input into polynomial coefficients once; reused
@@ -112,7 +89,7 @@ class RshExtractor:
 
 
 # Neighbor rules of the degree-8 expander on Z_side x Z_side, in fixed edge
-# label order (+ before -).  Kept in one table so the rule set can be swapped.
+# label order (+ before -).
 LU_NEIGHBOR_RULES = (
     lambda x, y, s: ((x + 2 * y) % s, y),
     lambda x, y, s: ((x - 2 * y) % s, y),
@@ -149,21 +126,6 @@ class LuExtractor:
         self.idx_width = ceil_log2(self.n_v)
         self.t_req = self.idx_width + 3 * c * (ell - 1) + ell
 
-    @classmethod
-    def from_params(cls, p: _params.ExtractorParams) -> "LuExtractor":
-        return cls(p.n, p.c, p.ell)
-
-    def num_random_bits(self) -> int:
-        return self.t_req
-
-    def compute_k(self, m: int, alpha: float, nu: float, eps: float,
-                  r_kind: RKind = RKind.TWO_E) -> float:
-        return _params.lu_params(self.n, m, alpha, nu, eps, r_kind).k
-
-    def next_vertex(self, v: tuple[int, int], e: int) -> tuple[int, int]:
-        x, y = v
-        return LU_NEIGHBOR_RULES[e](x, y, self.side)
-
     def _input_bit(self, input: BitBuffer, x: int, y: int) -> int:
         pos = x * self.side + y
         return input.get_bit(pos) if pos < len(input) else 0
@@ -190,12 +152,12 @@ class LuExtractor:
         return bit
 
 
-def from_params(p: _params.ExtractorParams):
+def from_params(p: ExtractorParams):
     """Build the configured extractor for a derived parameter set."""
     if p.family == "xor":
-        return XorExtractor.from_params(p)
+        return XorExtractor(p.n, p.ell)
     if p.family == "rsh":
-        return RshExtractor.from_params(p)
+        return RshExtractor(p.n, p.ell)
     if p.family == "lu":
-        return LuExtractor.from_params(p)
+        return LuExtractor(p.n, p.c, p.ell)
     raise ValueError(f"unknown family {p.family!r}")

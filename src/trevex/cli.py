@@ -125,6 +125,12 @@ def _design_for(args, p: params.ExtractorParams):
     variant = _VARIANTS[args.design]
     if args.load_design:
         design = weakdesign.design_load(args.load_design)
+        # k was derived with the r of --design; a cache of another variant
+        # would leave the entropy accounting describing a different design.
+        if design.variant is not variant:
+            raise DesignFormatError(
+                f"cached design is {design.variant.name}, but --design "
+                f"{args.design} was requested")
         if design.t_act < p.t_req or design.m < p.m:
             raise DesignFormatError(
                 f"cached design ({design.t_act=}, {design.m=}) too small for "

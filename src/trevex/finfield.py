@@ -231,18 +231,6 @@ class BinaryField:
         return acc
 
 
-def gfp_mulmod(a: int, b: int, field: PrimeField) -> int:
-    return field.mul(a, b)
-
-
-def gfp_poly_eval(coeffs, x: int, field: PrimeField) -> int:
-    return field.poly_eval(coeffs, x)
-
-
-def gf2_mul(a: int, b: int, field: BinaryField) -> int:
-    return field.mul(a, b)
-
-
 class ExtensionField:
     """GF(p**k) for odd prime p and small k, for prime-power design sizes.
 

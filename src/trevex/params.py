@@ -155,11 +155,6 @@ def _check_common(n: int, m: int, alpha: float, eps: float) -> None:
         raise InfeasibleParameters(f"alpha={alpha} outside (0, 1]")
 
 
-def _xor_overhead(n: int, alpha: float, mu: float, eps: float) -> float:
-    gamma = mu * alpha
-    return gamma * n + 6.0 * math.log2((1.0 + math.sqrt(2.0)) / eps) + math.log2(4.0 / 3.0)
-
-
 def xor_params(n: int, m: int, alpha: float, mu: float, eps: float,
                r_kind: RKind = RKind.TWO_E) -> ExtractorParams:
     """Parameters of the parity-sampling (XOR) one-bit extractor."""
@@ -173,15 +168,12 @@ def xor_params(n: int, m: int, alpha: float, mu: float, eps: float,
     ell = math.ceil(2.0 * math.log(2.0) / hinv
                     * math.log2((2.0 + math.sqrt(2.0)) / eps))
     t_req = ell * ceil_log2(n)
-    k = _xor_overhead(n, alpha, mu, eps) + r_kind.real * m
+    k = (gamma * n + 6.0 * math.log2((1.0 + math.sqrt(2.0)) / eps)
+         + math.log2(4.0 / 3.0) + r_kind.real * m)
     return ExtractorParams(
         family="xor", n=n, m=m, alpha=alpha, eps=eps, r_kind=r_kind,
         k=k, t_req=t_req, ell=ell, feasible=(k <= alpha * n and m >= 1),
         gamma=gamma, mu=mu)
-
-
-def _rsh_overhead(eps: float) -> float:
-    return 4.0 * math.log2(1.0 / eps) + 6.0
 
 
 def rsh_params(n: int, m: int, alpha: float, eps: float,
@@ -191,15 +183,10 @@ def rsh_params(n: int, m: int, alpha: float, eps: float,
     ell = math.ceil(math.log2(n) + 2.0 * math.log2(2.0 / eps))
     t_req = 2 * ell
     s = -(-n // ell)
-    k = _rsh_overhead(eps) + r_kind.real * m
+    k = 4.0 * math.log2(1.0 / eps) + 6.0 + r_kind.real * m
     return ExtractorParams(
         family="rsh", n=n, m=m, alpha=alpha, eps=eps, r_kind=r_kind,
         k=k, t_req=t_req, ell=ell, feasible=(k <= alpha * n and m >= 1), s=s)
-
-
-def _lu_overhead(n: int, nu: float, eps: float) -> float:
-    return (binary_entropy(nu) * n
-            + 6.0 * math.log2((2.0 + math.sqrt(2.0)) / eps) - 2.0)
 
 
 def lu_params(n: int, m: int, alpha: float, nu: float, eps: float,
@@ -221,33 +208,20 @@ def lu_params(n: int, m: int, alpha: float, nu: float, eps: float,
         side += 1
     n_v = side * side
     t_req = ceil_log2(n_v) + 3 * c * (ell - 1) + ell
-    k = _lu_overhead(n, nu, eps) + r_kind.real * m
+    k = (binary_entropy(nu) * n
+         + 6.0 * math.log2((2.0 + math.sqrt(2.0)) / eps) - 2.0 + r_kind.real * m)
     return ExtractorParams(
         family="lu", n=n, m=m, alpha=alpha, eps=eps, r_kind=r_kind,
         k=k, t_req=t_req, ell=ell, feasible=(k <= alpha * n and m >= 1),
         nu=nu, c=c)
 
 
-def _overhead(family: str, n: int, alpha: float, eps: float,
-              mu: float | None, nu: float | None) -> float:
-    if family == "xor":
-        if mu is None:
-            raise InfeasibleParameters("xor needs mu")
-        return _xor_overhead(n, alpha, mu, eps)
-    if family == "rsh":
-        return _rsh_overhead(eps)
-    if family == "lu":
-        if nu is None:
-            raise InfeasibleParameters("lu needs nu")
-        return _lu_overhead(n, nu, eps)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def max_output_len(family: str, n: int, alpha: float, eps: float,
                    r_kind: RKind = RKind.TWO_E,
                    mu: float | None = None, nu: float | None = None) -> int:
     """Largest m with k(m) <= alpha*n, exactly; 0 if none exists."""
-    overhead = _overhead(family, n, alpha, eps, mu, nu)
+    # k(m) = overhead + r*m, so k(0) is the overhead.
+    overhead = derive_params(family, n, 0, alpha, eps, r_kind, mu=mu, nu=nu).k
     budget = alpha * n
     r = r_kind.real
     if overhead + r > budget:

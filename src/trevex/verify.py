@@ -104,7 +104,7 @@ def _naive_mulmod(a: int, b: int, p: int) -> int:
     return acc
 
 
-def _naive_gf2_mul(a: int, b: int, l: int, poly: int) -> int:
+def _naive_binary_mulmod(a: int, b: int, l: int, poly: int) -> int:
     """Schoolbook carryless product, then reduction from the top."""
     prod = 0
     for i in range(l):
@@ -123,7 +123,7 @@ def _naive_field_ops(field):
                 lambda a, b: (a + b) % p)
     if isinstance(field, BinaryField):
         l, poly = field.l, field.poly
-        return (lambda a, b: _naive_gf2_mul(a, b, l, poly),
+        return (lambda a, b: _naive_binary_mulmod(a, b, l, poly),
                 lambda a, b: a ^ b)
     if isinstance(field, ExtensionField):
         raise BudgetExceededError("naive path covers GF(p) and GF(2^l) designs")
@@ -192,7 +192,7 @@ def _naive_one_bit(extractor, input_bits: list[int], sub_bits: list[int]) -> int
         for i, c in enumerate(blocks, start=1):
             term = c
             for _ in range(s - i):
-                term = _naive_gf2_mul(term, alpha, l, poly)
+                term = _naive_binary_mulmod(term, alpha, l, poly)
             r ^= term
         bit = 0
         for j in range(l):  # per-bit parity

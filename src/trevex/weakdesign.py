@@ -20,7 +20,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 
-from .finfield import field_for_order, next_prime
+from .finfield import BinaryField, field_for_order, next_prime
 from .params import TWO_E, RKind, ceil_log2
 
 MAX_SEED_BITS = 1 << 61
@@ -72,14 +72,14 @@ class BasicDesign:
 
     r_kind = RKind.TWO_E
 
-    def __init__(self, t: int, m: int, field=None):
+    def __init__(self, t: int, m: int):
         if m < 1:
             raise DesignError(f"m={m} must be >= 1")
         self.t_act = t
         self.m = m
-        self.field = field if field is not None else field_for_order(t)
-        if self.field.order != t:
-            raise DesignError(f"field order {self.field.order} != t={t}")
+        self.field = field_for_order(t)
+        self.variant = (DesignVariant.GF2X if isinstance(self.field, BinaryField)
+                        else DesignVariant.GFP)
         self.c = degree_bound(t, m)
         self.d = t * t
 
@@ -158,14 +158,14 @@ class BlockDesign:
 
     r_kind = RKind.ONE
 
-    def __init__(self, t: int, m: int, field=None, partition: BlockPartition | None = None):
-        self.partition = partition if partition is not None else block_partition(m, t)
+    def __init__(self, t: int, m: int):
+        self.partition = block_partition(m, t)
         self.t_act = t
         self.m = m
-        if sum(self.partition.m_list) != m:
-            raise DesignError("partition does not sum to m")
         self.d = (self.partition.ell + 1) * t * t
-        self._basic = BasicDesign(t, max(self.partition.m_list), field)
+        self._basic = BasicDesign(t, max(self.partition.m_list))
+        self.variant = (DesignVariant.BLOCK_GF2X if self._basic.variant.is_gf2x
+                        else DesignVariant.BLOCK_GFP)
         self._order = _block_order(self.partition.m_list)
         self._row_cache: dict[int, list[int]] = {}
 
@@ -199,11 +199,8 @@ def design_d(variant: DesignVariant, t_req: int, m: int | None = None) -> tuple[
 def make_design(variant: DesignVariant, t_req: int, m: int):
     t_act, _ = design_d(variant, t_req, m)
     if variant.is_block:
-        design = BlockDesign(t_act, m)
-    else:
-        design = BasicDesign(t_act, m)
-    design.variant = variant
-    return design
+        return BlockDesign(t_act, m)
+    return BasicDesign(t_act, m)
 
 
 # --- disk cache -----------------------------------------------------------
@@ -217,30 +214,20 @@ def make_design(variant: DesignVariant, t_req: int, m: int):
 _MAGIC = b"TWD1"
 
 
-class _StoredRows:
-    """Row provider backed by explicitly stored index lists."""
-
-    def __init__(self, rows: list[list[int]]):
-        self._rows = rows
-
-    def compute_Si(self, i: int) -> list[int]:
-        return list(self._rows[i])
-
-
-class LoadedBasicDesign(_StoredRows):
+class LoadedBasicDesign:
     r_kind = RKind.TWO_E
 
     def __init__(self, variant, t_act, m, d, rows):
-        super().__init__(rows)
         self.variant = variant
         self.t_act = t_act
         self.m = m
         self.d = d
+        self._rows = rows
 
     def compute_Si(self, i: int) -> list[int]:
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
-        return super().compute_Si(i)
+        return list(self._rows[i])
 
 
 class LoadedBlockDesign:
@@ -266,11 +253,7 @@ class LoadedBlockDesign:
 def design_save(design, path) -> None:
     out = bytearray()
     out += _MAGIC
-    variant = getattr(design, "variant", None)
-    if variant is None:
-        variant = (DesignVariant.BLOCK_GFP if design.r_kind is RKind.ONE
-                   else DesignVariant.GFP)
-    out += struct.pack("<B", variant.value)
+    out += struct.pack("<B", design.variant.value)
     out += struct.pack("<QQQ", design.t_act, design.m, design.d)
     if design.r_kind is RKind.ONE:
         m_list = design.partition.m_list

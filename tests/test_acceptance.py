@@ -19,7 +19,7 @@ import time
 import pytest
 
 from trevex.finfield import (BinaryField, PrimeField, find_irreducible,
-                             gfp_mulmod, next_prime)
+                             next_prime)
 from trevex.bitext import XorExtractor
 from trevex.params import (InfeasibleParameters, RKind, max_output_len,
                            rsh_params, xor_params)
@@ -250,7 +250,7 @@ def test_criterion_10_field_correctness():
     for _ in range(10 ** 5):
         a = rng.randrange(MERSENNE_61 - (1 << 32), MERSENNE_61)
         b = rng.randrange(MERSENNE_61 - (1 << 32), MERSENNE_61)
-        assert gfp_mulmod(a, b, field) == _naive_mulmod(a, b, MERSENNE_61)
+        assert field.mul(a, b) == _naive_mulmod(a, b, MERSENNE_61)
     for l in (3, 8, 16, 50):
         f = find_irreducible(l)
         assert isinstance(f, BinaryField) and f.l == l

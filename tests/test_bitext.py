@@ -82,7 +82,8 @@ class TestRsh:
             assert ext.extract(BitBuffer(64), rand_buf(rng, 16)) == 0
 
     def test_gf4_hand_computation(self):
-        ext = RshExtractor(4, 2, field=BinaryField(2, 0b111))
+        ext = RshExtractor(4, 2)
+        assert ext.field == BinaryField(2, 0b111)
         x = buf_from_bits([1, 0, 1, 1])   # c1 = 1, c2 = x+1
         sub = BitBuffer(4, 1 | (2 << 2))  # alpha = 1, beta = x
         assert ext.extract(x, sub) == 1
@@ -139,11 +140,11 @@ class TestLuNeighborRules:
         assert LU_NEIGHBOR_RULES[6](0, 0, 3) == (0, 1)   # y + (2x + 1)
 
     def test_inverse_pairs(self, rng):
-        ext = LuExtractor(25, 1, 2)
         for _ in range(100):
             v = (rng.randrange(5), rng.randrange(5))
             for e in (0, 2, 4, 6):
-                assert ext.next_vertex(ext.next_vertex(v, e), e + 1) == v
+                assert LU_NEIGHBOR_RULES[e + 1](
+                    *LU_NEIGHBOR_RULES[e](*v, 5), 5) == v
 
     def test_x_rules_fix_y_and_vice_versa(self, rng):
         for _ in range(50):
@@ -206,7 +207,7 @@ class TestInterface:
         p = params.rsh_params(1 << 16, 64, 0.5, 2.0 ** -16)
         ext = from_params(p)
         assert isinstance(ext, RshExtractor)
-        assert ext.num_random_bits() == 100
+        assert ext.t_req == 100
 
     def test_xor_from_params(self):
         p = params.xor_params(1 << 10, 16, 0.9, 0.3, 1e-2)
@@ -219,11 +220,6 @@ class TestInterface:
         ext = from_params(p)
         assert isinstance(ext, LuExtractor)
         assert ext.t_req == p.t_req
-
-    def test_compute_k_delegates(self):
-        ext = RshExtractor(1 << 16, 50)
-        want = params.rsh_params(1 << 16, 64, 0.5, 2.0 ** -16).k
-        assert ext.compute_k(64, 0.5, 2.0 ** -16) == want
 
     def test_determinism(self, rng):
         for ext in (XorExtractor(128, 4), RshExtractor(128, 8),

@@ -147,6 +147,23 @@ class TestExtract:
                                "--load-design", str(cache)])
         assert code == 4
 
+    @pytest.mark.parametrize("saved, requested",
+                             [("gfp", "block-gfp"), ("block-gfp", "gfp")])
+    def test_cached_design_of_other_variant_rejected(self, tmp_path, capsys,
+                                                     saved, requested):
+        inp, sd = self._files(tmp_path, 512, 2048)
+        cache = tmp_path / "design.twd"
+        out = tmp_path / "out.bin"
+        base = RSH_ARGS + ["-m", "64", "--input", str(inp), "--seed", str(sd)]
+        assert run(base + ["--design", saved, "--gen-design",
+                           "--save-design", str(cache)]) == 0
+        capsys.readouterr()
+        code = run(base + ["--design", requested, "--output", str(out),
+                           "--load-design", str(cache)])
+        assert code == 4
+        assert "--design" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDesignTools:
     def test_gen_then_verify(self, tmp_path, capsys):

@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from trevex.finfield import (BinaryField, ExtensionField, PrimeField,
                              field_for_order, find_irreducible, gf2_irreducible,
-                             gf2_mul, gfp_mulmod, gfp_poly_eval, is_prime,
-                             next_prime)
+                             is_prime, next_prime)
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -61,26 +60,26 @@ class TestPrimeField:
         f = PrimeField(MERSENNE61)
         for _ in range(100):
             a = rng.randrange(f.p)
-            assert gfp_mulmod(a, 1, f) == a
+            assert f.mul(a, 1) == a
 
     def test_minus_one_squared(self):
         for p in (5, 101, 1709, MERSENNE61):
             f = PrimeField(p)
-            assert gfp_mulmod(p - 1, p - 1, f) == 1
+            assert f.mul(p - 1, p - 1) == 1
 
     def test_wide_reference_near_limit(self):
         f = PrimeField(MERSENNE61)
         a, b = (1 << 60) + 1, (1 << 60) + 2
-        assert gfp_mulmod(a, b, f) == (a * b) % MERSENNE61
+        assert f.mul(a, b) == (a * b) % MERSENNE61
 
     def test_poly_eval_constant(self, rng):
         f = PrimeField(101)
         for _ in range(20):
             c, x = rng.randrange(101), rng.randrange(101)
-            assert gfp_poly_eval([c], x, f) == c
+            assert f.poly_eval([c], x) == c
 
     def test_poly_eval_hand(self):
-        assert gfp_poly_eval([1, 1], 3, PrimeField(5)) == 4
+        assert PrimeField(5).poly_eval([1, 1], 3) == 4
 
     def test_poly_eval_vs_power_sum(self, rng):
         f = PrimeField(1709)
@@ -88,11 +87,11 @@ class TestPrimeField:
             coeffs = [rng.randrange(f.p) for _ in range(7)]
             x = rng.randrange(f.p)
             want = sum(c * pow(x, j, f.p) for j, c in enumerate(coeffs)) % f.p
-            assert gfp_poly_eval(coeffs, x, f) == want
+            assert f.poly_eval(coeffs, x) == want
 
     def test_empty_coeffs(self):
         with pytest.raises(ValueError):
-            gfp_poly_eval([], 1, PrimeField(5))
+            PrimeField(5).poly_eval([], 1)
 
 
 class TestFindIrreducible:
@@ -141,11 +140,11 @@ class TestBinaryField:
         f = find_irreducible(16)
         for _ in range(100):
             a = rng.randrange(1 << 16)
-            assert gf2_mul(a, 1, f) == a
+            assert f.mul(a, 1) == a
 
     def test_gf8_hand_product(self):
         f = BinaryField(3, 0b1011)
-        assert gf2_mul(0b110, 0b011, f) == 0b001
+        assert f.mul(0b110, 0b011) == 0b001
 
     def test_multiplicative_order(self, rng):
         for l in (3, 8, 16):

@@ -184,6 +184,21 @@ class TestDiskCache:
         for i in range(20):
             assert loaded.compute_Si(i) == design.compute_Si(i)
 
+    @pytest.mark.parametrize("cls, t, variant", [
+        (BasicDesign, 7, DesignVariant.GFP),
+        (BasicDesign, 8, DesignVariant.GF2X),
+        (BlockDesign, 7, DesignVariant.BLOCK_GFP),
+        (BlockDesign, 8, DesignVariant.BLOCK_GF2X),
+    ], ids=["basic-7", "basic-8", "block-7", "block-8"])
+    def test_direct_design_keeps_its_variant(self, cls, t, variant, tmp_path):
+        design = cls(t, 20)
+        path = tmp_path / "design.twd"
+        design_save(design, path)
+        loaded = design_load(path)
+        assert loaded.variant is variant
+        for i in range(20):
+            assert loaded.compute_Si(i) == design.compute_Si(i)
+
     def test_loaded_round_trip_again(self, tmp_path):
         design = make_design(DesignVariant.BLOCK_GFP, 7, 20)
         p1, p2 = tmp_path / "a.twd", tmp_path / "b.twd"
