@@ -51,6 +51,13 @@ class RshExtractor:
     x^j.  With alpha the first and beta the second half of the subseed, the
     output is parity(popcount(p_alpha(x) AND beta)) where
     p_alpha(x) = sum_i c_i alpha^(s-i).
+
+    Horner multiplies by the same alpha on every step, so each output bit
+    first builds ceil(l/8) byte tables T_j[b] = (b * x^(8j)) * alpha mod f,
+    f the field modulus: from the l products x^k * alpha, every entry is
+    one XOR, T_j[b] = T_j[b - h] ^ x^(8j + log2 h) * alpha for h the highest
+    set bit of b (Shoup's tables for a fixed multiplier, as in GHASH).  A
+    Horner step is then r = T_0[r & 255] ^ T_1[r >> 8 & 255] ^ ... ^ c.
     """
 
     def __init__(self, n: int, l: int):
@@ -61,31 +68,46 @@ class RshExtractor:
         self.s = -(-n // l)
         self.field = find_irreducible(l)
         self.t_req = 2 * l
-        self._cache: tuple[BitBuffer, list[int]] | None = None
 
-    def prepare(self, input: BitBuffer) -> list[int]:
-        """Parse the input into polynomial coefficients once; reused
-        read-only across all output bits of a run."""
-        coeffs = [input.get_bits(i * self.l, self.l) for i in range(self.s)]
-        self._cache = (input, coeffs)
-        return coeffs
+    def prepare(self, input: BitBuffer) -> tuple[int, ...]:
+        """The input's s polynomial coefficients; pass them to ``extract``
+        in place of the input to parse it once for all output bits."""
+        return tuple(input.get_bits(i * self.l, self.l) for i in range(self.s))
 
-    def _coeffs(self, input: BitBuffer) -> list[int]:
-        if self._cache is not None and self._cache[0] is input:
-            return self._cache[1]
-        return self.prepare(input)
+    def _tables(self, alpha: int) -> list[list[int]]:
+        """Eight byte tables of multiplication by alpha; tables past
+        ceil(l/8) are [0], as r has no bits there."""
+        l, f = self.l, self.field.poly
+        top = 1 << l
+        shifted = []  # x^k * alpha mod f, k < l
+        for _ in range(l):
+            shifted.append(alpha)
+            alpha <<= 1
+            if alpha & top:
+                alpha ^= f
+        tables = []
+        for j in range(0, l, 8):
+            table = [0]
+            for v in shifted[j:j + 8]:
+                table += [e ^ v for e in table]
+            tables.append(table)
+        return tables + [[0]] * (8 - len(tables))
 
-    def extract(self, input: BitBuffer, subseed: BitBuffer) -> int:
+    def extract(self, input: BitBuffer | tuple[int, ...],
+                subseed: BitBuffer) -> int:
+        """One output bit; ``input`` is the input or its ``prepare`` value."""
         if len(subseed) < self.t_req:
             raise ValueError(f"subseed shorter than {self.t_req} bits")
+        if isinstance(input, BitBuffer):
+            input = self.prepare(input)
         l = self.l
-        alpha = subseed.get_bits(0, l)
-        beta = subseed.get_bits(l, l)
-        mul = self.field.mul
+        t0, t1, t2, t3, t4, t5, t6, t7 = self._tables(subseed.get_bits(0, l))
         r = 0
-        for c in self._coeffs(input):  # Horner: sum c_i alpha^(s-i)
-            r = mul(r, alpha) ^ c
-        return (r & beta).bit_count() & 1
+        for c in input:  # Horner: sum c_i alpha^(s-i)
+            r = (t0[r & 255] ^ t1[r >> 8 & 255] ^ t2[r >> 16 & 255]
+                 ^ t3[r >> 24 & 255] ^ t4[r >> 32 & 255] ^ t5[r >> 40 & 255]
+                 ^ t6[r >> 48 & 255] ^ t7[r >> 56] ^ c)
+        return (r & subseed.get_bits(l, l)).bit_count() & 1
 
 
 # Neighbor rules of the degree-8 expander on Z_side x Z_side, in fixed edge

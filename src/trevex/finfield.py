@@ -96,19 +96,6 @@ class PrimeField:
 
 # --- GF(2) polynomial helpers (bitmask representation) ---
 
-def _gf2_poly_mulmod(a: int, b: int, f: int) -> int:
-    deg = f.bit_length() - 1
-    res = 0
-    while b:
-        if b & 1:
-            res ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> deg) & 1:
-            a ^= f
-    return res
-
-
 def _gf2_poly_mod(a: int, b: int) -> int:
     db = b.bit_length()
     while a.bit_length() >= db:
@@ -122,12 +109,10 @@ def _gf2_poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _gf2_x_pow_pow2(e: int, f: int) -> int:
-    """x**(2**e) mod f by repeated squaring."""
-    r = 0b10  # x
-    for _ in range(e):
-        r = _gf2_poly_mulmod(r, r, f)
-    return r
+# (shift, mask) steps that move bit i of a 64-bit value to bit 2i, which
+# squares a GF(2) polynomial of degree < 64.
+_SPREAD = tuple((k, sum(((1 << k) - 1) << (2 * k * j) for j in range(64 // k)))
+                for k in (32, 16, 8, 4, 2, 1))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -145,15 +130,29 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def gf2_irreducible(poly: int) -> bool:
-    """Rabin irreducibility test for a GF(2) polynomial bitmask."""
+    """Ben-Or irreducibility test for a GF(2) polynomial bitmask of degree
+    1..64: poly of degree l is irreducible iff gcd(poly, x^(2^i) - x) = 1
+    for every i <= l/2.  A reducible poly fails at i = the degree of its
+    smallest factor, so most candidates are rejected after a few squarings.
+    Squaring spreads the bits, then folds x^l = poly - x^l back in, which is
+    cheap for the sparse moduli searched here."""
     l = poly.bit_length() - 1
     if l < 1:
         return False
-    if _gf2_x_pow_pow2(l, poly) != 0b10:
-        return False
-    for q in _prime_factors(l):
-        h = _gf2_x_pow_pow2(l // q, poly) ^ 0b10
-        if _gf2_poly_gcd(poly, h) != 1:
+    if l > 64:
+        raise ValueError(f"degree {l} above 64")
+    mask = (1 << l) - 1
+    tail = [e for e in range(l) if poly >> e & 1]
+    u = 0b10  # x^(2^i) mod poly
+    for _ in range(l // 2):
+        for k, spread in _SPREAD:
+            u = (u | u << k) & spread
+        while u > mask:
+            high = u >> l
+            u &= mask
+            for e in tail:
+                u ^= high << e
+        if _gf2_poly_gcd(poly, u ^ 0b10) != 1:
             return False
     return True
 

@@ -196,7 +196,10 @@ def lu_params(n: int, m: int, alpha: float, nu: float, eps: float,
     if not 0.0 < nu <= 0.5:
         raise InfeasibleParameters(f"nu={nu} outside (0, 0.5]")
     delta = (eps / (2.0 + math.sqrt(2.0))) ** 2
-    w = solve_w(nu)
+    try:
+        w = solve_w(nu)
+    except NoRootError as exc:
+        raise InfeasibleParameters(f"nu={nu} unusable: {exc}") from exc
     c = math.ceil(math.log2(w) / (2.0 * math.log2(LAMBDA0)))
     denom = math.log2(1.0 - nu + w)
     if denom >= 0.0:

@@ -1,9 +1,15 @@
 """Composition driver: one weak-design subseed per output bit.
 
-Output bit i is extractor.extract(input, seed restricted to S_i).  Bits are
-sharded contiguously across workers; input and seed are shared read-only
-(fork), each worker owns its design row cache, and results land in disjoint
-bit ranges, so the output is byte-identical for any worker count.
+Output bit i is extractor.extract(input, seed restricted to S_i).  An
+extractor with a ``prepare`` method parses the input once per run:
+extract_all calls it, holds the value it returns (RSH: an immutable tuple of
+polynomial coefficients) for the length of the call, and passes that value
+to ``extract`` in place of the input.  The extractor itself keeps nothing,
+so a later call sees the input's current contents.  Bits are sharded
+contiguously across workers, which receive the job and the prepared input
+together and share them read-only (fork); each worker owns its design row
+cache, and results land in disjoint bit ranges, so the output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -109,11 +115,11 @@ class ExtractionJob:
     workers: int = 1
 
 
-def _extract_range(job: ExtractionJob, lo: int, hi: int) -> int:
-    """Bits [lo, hi) of the output, packed LSB-first into an int."""
+def _extract_range(job: ExtractionJob, source, lo: int, hi: int) -> int:
+    """Bits [lo, hi) of the output, packed LSB-first into an int; ``source``
+    is what the extractor reads in place of the input (see extract_all)."""
     design = job.design
     extractor = job.extractor
-    inp = job.input
     seed = job.seed
     t_req = extractor.t_req
     out = 0
@@ -122,16 +128,17 @@ def _extract_range(job: ExtractionJob, lo: int, hi: int) -> int:
         # Designs may grant more seed than requested; the extractor
         # consumes the prefix of length t_req.
         sub = slice_subseed(seed, indices[:t_req])
-        out |= extractor.extract(inp, sub) << (i - lo)
+        out |= extractor.extract(source, sub) << (i - lo)
     return out
 
 
-_ACTIVE_JOB: ExtractionJob | None = None
+_ACTIVE: tuple[ExtractionJob, object] | None = None
 
 
 def _worker(bounds: tuple[int, int]) -> tuple[int, int]:
     lo, hi = bounds
-    return lo, _extract_range(_ACTIVE_JOB, lo, hi)
+    job, source = _ACTIVE
+    return lo, _extract_range(job, source, lo, hi)
 
 
 def extract_all(job: ExtractionJob) -> BitBuffer:
@@ -141,24 +148,23 @@ def extract_all(job: ExtractionJob) -> BitBuffer:
     if job.design.t_act < job.extractor.t_req:
         raise ValueError("design grants fewer seed bits than the extractor needs")
     prepare = getattr(job.extractor, "prepare", None)
-    if prepare is not None:
-        prepare(job.input)  # parse once, shared read-only by all workers
+    source = job.input if prepare is None else prepare(job.input)
     m = job.m
     workers = max(1, job.workers)
     if workers == 1 or m < 2 * workers:
-        return BitBuffer(m, _extract_range(job, 0, m))
+        return BitBuffer(m, _extract_range(job, source, 0, m))
     bounds = []
     chunk = -(-m // workers)
     for lo in range(0, m, chunk):
         bounds.append((lo, min(lo + chunk, m)))
-    global _ACTIVE_JOB
+    global _ACTIVE
     ctx = multiprocessing.get_context("fork")
-    _ACTIVE_JOB = job
+    _ACTIVE = (job, source)
     try:
         with ctx.Pool(processes=workers) as pool:
             parts = pool.map(_worker, bounds)
     finally:
-        _ACTIVE_JOB = None
+        _ACTIVE = None
     value = 0
     for lo, part in parts:
         value |= part << lo

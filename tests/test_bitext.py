@@ -3,8 +3,9 @@ import pytest
 from trevex import bitext, params
 from trevex.bitext import (LU_NEIGHBOR_RULES, LuExtractor, RshExtractor,
                            XorExtractor, from_params)
-from trevex.finfield import BinaryField
-from trevex.trevisan import BitBuffer
+from trevex.finfield import BinaryField, find_irreducible
+from trevex.trevisan import BitBuffer, ExtractionJob, extract_all
+from trevex.weakdesign import DesignVariant, make_design
 
 from conftest import rand_buf
 
@@ -130,6 +131,81 @@ class TestRsh:
     def test_block_size_guard(self):
         with pytest.raises(ValueError):
             RshExtractor(100, 65)
+
+    def test_prepare_returns_immutable_coefficients(self, rng):
+        ext = RshExtractor(100, 8)
+        x = rand_buf(rng, 100)
+        coeffs = ext.prepare(x)
+        assert isinstance(coeffs, tuple)
+        assert coeffs == tuple(x.get_bits(i * 8, 8) for i in range(ext.s))
+        y = rand_buf(rng, 16)
+        assert ext.extract(coeffs, y) == ext.extract(x, y)
+
+
+class TestRshNoHiddenState:
+    """Defect 5a: output bits must depend on the input's current contents,
+    never on an earlier call's view of the same buffer object."""
+
+    def _job(self, rng):
+        ext = RshExtractor(640, 10)
+        design = make_design(DesignVariant.GFP, ext.t_req, 64)
+        return ExtractionJob(input=rand_buf(rng, 640),
+                             seed=rand_buf(rng, design.d), design=design,
+                             extractor=ext, m=64)
+
+    def test_input_zeroed_in_place_after_extract_all(self, rng):
+        job = self._job(rng)
+        assert extract_all(job).ones() > 0
+        subs = [rand_buf(rng, job.extractor.t_req) for _ in range(64)]
+        job.input._buf[:] = bytes(len(job.input._buf))
+        assert [job.extractor.extract(job.input, y) for y in subs] == [0] * 64
+        assert extract_all(job).ones() == 0
+
+    def test_input_zeroed_in_place_after_prepare(self, rng):
+        ext = RshExtractor(640, 10)
+        x = rand_buf(rng, 640)
+        ext.prepare(x)
+        subs = [rand_buf(rng, ext.t_req) for _ in range(64)]
+        assert any(ext.extract(x, y) for y in subs)
+        for i in range(len(x)):
+            x.set_bit(i, 0)
+        assert [ext.extract(x, y) for y in subs] == [0] * 64
+
+    def test_no_attribute_changes(self, rng):
+        job = self._job(rng)
+        ext = job.extractor
+        before = dict(vars(ext))
+        ext.prepare(job.input)
+        ext.extract(job.input, rand_buf(rng, ext.t_req))
+        ext.extract(ext.prepare(job.input), rand_buf(rng, ext.t_req))
+        extract_all(job)
+        assert vars(ext) == before
+
+
+def _mul_horner_bits(field, coeffs, alpha):
+    """p_alpha = sum c_i alpha^(s-i) by Horner over BinaryField.mul."""
+    r = 0
+    for c in coeffs:
+        r = field.mul(r, alpha) ^ c
+    return r
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 7, 8, 9, 16, 31, 50, 63, 64])
+def test_table_horner_matches_field_mul(rng, l):
+    """Every bit of the table-driven Horner value, read out through unit
+    beta vectors, equals the Horner value computed with BinaryField.mul."""
+    ext = RshExtractor(7 * l + l // 2 + 1, l)
+    field = find_irreducible(l)
+    alphas = [0, 1, (1 << l) - 1] + [rng.randrange(1 << l) for _ in range(4)]
+    for alpha in alphas:
+        for x in (rand_buf(rng, ext.n), BitBuffer(ext.n, (1 << ext.n) - 1)):
+            coeffs = ext.prepare(x)
+            want = _mul_horner_bits(field, coeffs, alpha)
+            got = 0
+            for j in range(l):
+                sub = BitBuffer(2 * l, alpha | (1 << (l + j)))
+                got |= ext.extract(coeffs, sub) << j
+            assert got == want, (l, alpha)
 
 
 class TestLuNeighborRules:

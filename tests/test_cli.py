@@ -54,6 +54,12 @@ class TestDryRun:
         run(RSH_ARGS + ["--dry-run"])
         assert set(tmp_path.iterdir()) == before
 
+    def test_unsolvable_nu_exits_infeasible(self, capsys):
+        # 1 - nu rounds to 1.0, so the walk-length equation has no root
+        assert run(["--bitext", "lu", "-n", "4096", "--alpha", "0.9",
+                    "--nu", "1e-20", "--eps", "0.01", "--dry-run"]) == 2
+        assert "infeasible parameters" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_missing_family(self):

@@ -8,6 +8,25 @@ from trevex.finfield import (BinaryField, ExtensionField, PrimeField,
 
 MERSENNE61 = (1 << 61) - 1
 
+PINNED_MODULI = {
+    1: 0x3, 2: 0x7, 3: 0xb, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11b,
+    9: 0x203, 10: 0x409, 11: 0x805, 12: 0x1009, 13: 0x201b, 14: 0x4021,
+    15: 0x8003, 16: 0x1002b, 17: 0x20009, 18: 0x40009, 19: 0x80027,
+    20: 0x100009, 21: 0x200005, 22: 0x400003, 23: 0x800021, 24: 0x100001b,
+    25: 0x2000009, 26: 0x400001b, 27: 0x8000027, 28: 0x10000003,
+    29: 0x20000005, 30: 0x40000003, 31: 0x80000009, 32: 0x10000008d,
+    33: 0x200000401, 34: 0x400000081, 35: 0x800000005, 36: 0x1000000201,
+    37: 0x2000000053, 38: 0x4000000063, 39: 0x8000000011, 40: 0x10000000039,
+    41: 0x20000000009, 42: 0x40000000081, 43: 0x80000000059,
+    44: 0x100000000021, 45: 0x20000000001b, 46: 0x400000000003,
+    47: 0x800000000021, 48: 0x100000000002d, 49: 0x2000000000201,
+    50: 0x400000000001d, 51: 0x800000000004b, 52: 0x10000000000009,
+    53: 0x20000000000047, 54: 0x40000000000201, 55: 0x80000000000081,
+    56: 0x100000000000095, 57: 0x200000000000011, 58: 0x400000000080001,
+    59: 0x800000000000095, 60: 0x1000000000000003, 61: 0x2000000000000027,
+    62: 0x4000000020000001, 63: 0x8000000000000003, 64: 0x1000000000000001b,
+}
+
 
 def trial_division_prime(n: int) -> bool:
     if n < 2:
@@ -127,6 +146,12 @@ class TestFindIrreducible:
                 if cand >= poly:
                     break
                 assert not gf2_irreducible(cand)
+
+    def test_pinned_moduli(self):
+        # The modulus fixes every RSH output bit; these are the polynomials
+        # the search returned when output reproducibility was first pinned.
+        got = {l: find_irreducible(l).poly for l in range(1, 65)}
+        assert got == PINNED_MODULI
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

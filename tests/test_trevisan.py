@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trevex.bitext import XorExtractor
+from trevex.bitext import RshExtractor, XorExtractor
 from trevex.trevisan import (BitBuffer, ExtractionJob, InsufficientSeedError,
                              extract_all, slice_subseed)
-from trevex.verify import monobit
+from trevex.verify import monobit, naive_extract
 from trevex.weakdesign import DesignVariant, make_design
 
 from conftest import FAMILIES, rand_buf, rand_job
@@ -165,6 +165,20 @@ class TestExtractAll:
             out2 = extract_all(job)
             job.input = x1 ^ x2
             assert extract_all(job) == out1 ^ out2
+
+    @settings(max_examples=24, deadline=None)
+    @given(variant=st.sampled_from(list(DesignVariant)),
+           l=st.sampled_from([1, 3, 8, 9, 16, 31, 50, 64]),
+           n=st.integers(min_value=1, max_value=400),
+           m=st.integers(min_value=8, max_value=24),
+           data=st.randoms(use_true_random=False))
+    def test_rsh_matches_naive_oracle(self, variant, l, n, m, data):
+        ext = RshExtractor(n, l)
+        design = make_design(variant, max(ext.t_req, 7), m)  # block: t >= 7
+        job = ExtractionJob(input=rand_buf(data, n),
+                            seed=rand_buf(data, design.d), design=design,
+                            extractor=ext, m=m)
+        assert extract_all(job) == naive_extract(job)
 
     def test_monobit_on_uniform_input(self):
         # ones-fraction of the output stays within 5 sigma of 1/2
