@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trevex.bitext import RshExtractor, XorExtractor
+from trevex.bitext import LuExtractor, RshExtractor, XorExtractor
 from trevex.trevisan import (BitBuffer, ExtractionJob, InsufficientSeedError,
                              extract_all, slice_subseed)
 from trevex.verify import monobit, naive_extract
@@ -90,6 +90,18 @@ class TestSliceSubseed:
             slice_subseed(BitBuffer(4), [5])
 
 
+def _extractors(family: str, n: int):
+    """Extractors of one family on n input bits, small enough for the
+    naive oracle."""
+    if family == "xor":
+        return st.builds(XorExtractor, st.just(n), st.integers(1, 8))
+    if family == "rsh":
+        return st.builds(RshExtractor, st.just(n),
+                         st.sampled_from([1, 3, 8, 9, 16, 31, 50, 64]))
+    return st.builds(LuExtractor, st.just(n), st.integers(1, 3),
+                     st.integers(1, 6))
+
+
 class TestExtractAll:
     def test_single_bit_degenerate(self, rng):
         ext = XorExtractor(64, 3)
@@ -166,17 +178,19 @@ class TestExtractAll:
             job.input = x1 ^ x2
             assert extract_all(job) == out1 ^ out2
 
-    @settings(max_examples=24, deadline=None)
-    @given(variant=st.sampled_from(list(DesignVariant)),
-           l=st.sampled_from([1, 3, 8, 9, 16, 31, 50, 64]),
-           n=st.integers(min_value=1, max_value=400),
+    @pytest.mark.parametrize("variant", list(DesignVariant),
+                             ids=lambda v: v.name.lower())
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=16, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=400),
            m=st.integers(min_value=8, max_value=24),
-           data=st.randoms(use_true_random=False))
-    def test_rsh_matches_naive_oracle(self, variant, l, n, m, data):
-        ext = RshExtractor(n, l)
+           data=st.data())
+    def test_matches_naive_oracle(self, family, variant, n, m, data):
+        ext = data.draw(_extractors(family, n))
+        rnd = data.draw(st.randoms(use_true_random=False))
         design = make_design(variant, max(ext.t_req, 7), m)  # block: t >= 7
-        job = ExtractionJob(input=rand_buf(data, n),
-                            seed=rand_buf(data, design.d), design=design,
+        job = ExtractionJob(input=rand_buf(rnd, n),
+                            seed=rand_buf(rnd, design.d), design=design,
                             extractor=ext, m=m)
         assert extract_all(job) == naive_extract(job)
 
