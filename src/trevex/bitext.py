@@ -2,9 +2,12 @@
 (Reed-Solomon followed by a Hadamard inner product), and the expander-walk
 construction.
 
-All three share the same contract: ``t_req`` is the subseed length consumed
-per output bit, and ``extract(input, subseed)`` returns one bit.  Instances
-are immutable after configuration and reentrant.
+All three share one contract.  ``t_req`` is the subseed length consumed per
+output bit.  ``prepare(input)`` parses a BitBuffer once into an immutable
+value (XOR and LU: its bytes; RSH: its polynomial coefficients), and
+``extract(prepared, subseed)`` returns one bit, reading the subseed as an
+int whose bit j is subseed bit j.  Instances are immutable after
+configuration and reentrant.
 """
 
 from __future__ import annotations
@@ -32,15 +35,19 @@ class XorExtractor:
         self.idx_width = ceil_log2(n)
         self.t_req = ell * self.idx_width
 
-    def extract(self, input: BitBuffer, subseed: BitBuffer) -> int:
-        if len(subseed) < self.t_req:
-            raise ValueError(f"subseed shorter than {self.t_req} bits")
+    def prepare(self, input: BitBuffer) -> bytes:
+        return input.to_bytes()
+
+    def extract(self, prepared: bytes, subseed: int) -> int:
+        n = self.n
         w = self.idx_width
+        mask = (1 << w) - 1
         bit = 0
-        for i in range(self.ell):
-            pos = subseed.get_bits(i * w, w) % self.n
-            bit ^= input.get_bit(pos)
-        return bit
+        for _ in range(self.ell):
+            pos = (subseed & mask) % n
+            bit ^= prepared[pos >> 3] >> (pos & 7)
+            subseed >>= w
+        return bit & 1
 
 
 class RshExtractor:
@@ -70,8 +77,7 @@ class RshExtractor:
         self.t_req = 2 * l
 
     def prepare(self, input: BitBuffer) -> tuple[int, ...]:
-        """The input's s polynomial coefficients; pass them to ``extract``
-        in place of the input to parse it once for all output bits."""
+        """The input's s polynomial coefficients."""
         return tuple(input.get_bits(i * self.l, self.l) for i in range(self.s))
 
     def _tables(self, alpha: int) -> list[list[int]]:
@@ -93,21 +99,16 @@ class RshExtractor:
             tables.append(table)
         return tables + [[0]] * (8 - len(tables))
 
-    def extract(self, input: BitBuffer | tuple[int, ...],
-                subseed: BitBuffer) -> int:
-        """One output bit; ``input`` is the input or its ``prepare`` value."""
-        if len(subseed) < self.t_req:
-            raise ValueError(f"subseed shorter than {self.t_req} bits")
-        if isinstance(input, BitBuffer):
-            input = self.prepare(input)
+    def extract(self, prepared: tuple[int, ...], subseed: int) -> int:
         l = self.l
-        t0, t1, t2, t3, t4, t5, t6, t7 = self._tables(subseed.get_bits(0, l))
+        mask = (1 << l) - 1
+        t0, t1, t2, t3, t4, t5, t6, t7 = self._tables(subseed & mask)
         r = 0
-        for c in input:  # Horner: sum c_i alpha^(s-i)
+        for c in prepared:  # Horner: sum c_i alpha^(s-i)
             r = (t0[r & 255] ^ t1[r >> 8 & 255] ^ t2[r >> 16 & 255]
                  ^ t3[r >> 24 & 255] ^ t4[r >> 32 & 255] ^ t5[r >> 40 & 255]
                  ^ t6[r >> 48 & 255] ^ t7[r >> 56] ^ c)
-        return (r & subseed.get_bits(l, l)).bit_count() & 1
+        return (r & subseed >> l).bit_count() & 1
 
 
 # Neighbor rules of the degree-8 expander on Z_side x Z_side, in fixed edge
@@ -148,30 +149,31 @@ class LuExtractor:
         self.idx_width = ceil_log2(self.n_v)
         self.t_req = self.idx_width + 3 * c * (ell - 1) + ell
 
-    def _input_bit(self, input: BitBuffer, x: int, y: int) -> int:
-        pos = x * self.side + y
-        return input.get_bit(pos) if pos < len(input) else 0
+    def prepare(self, input: BitBuffer) -> bytes:
+        return input.to_bytes()
 
-    def extract(self, input: BitBuffer, subseed: BitBuffer) -> int:
-        if len(subseed) < self.t_req:
-            raise ValueError(f"subseed shorter than {self.t_req} bits")
-        v = subseed.get_bits(0, self.idx_width) % self.n_v
-        x, y = divmod(v, self.side)
-        walk_off = self.idx_width
-        beta_off = walk_off + 3 * self.c * (self.ell - 1)
+    def extract(self, prepared: bytes, subseed: int) -> int:
+        side = self.side
+        c = self.c
+        w = self.idx_width
+        v = (subseed & ((1 << w) - 1)) % self.n_v
+        x, y = divmod(v, side)
+        walk = subseed >> w
+        beta = walk >> 3 * c * (self.ell - 1)
+        n_bits = 8 * len(prepared)  # bits past the input's end are zero
         bit = 0
-        step = 0
         for i in range(self.ell):
-            # Read the vertex bit unconditionally so the extractor touches
-            # exactly ell input bits for any hash string.
-            sample = self._input_bit(input, x, y)
-            bit ^= subseed.get_bits(beta_off + i, 1) & sample
+            # Read the vertex bit whatever its hash bit, so the extractor
+            # touches exactly ell input bits for any hash string.
+            pos = x * side + y
+            if pos < n_bits:
+                bit ^= beta & prepared[pos >> 3] >> (pos & 7)
+            beta >>= 1
             if i < self.ell - 1:
-                for _ in range(self.c):
-                    e = subseed.get_bits(walk_off + 3 * step, 3)
-                    step += 1
-                    x, y = LU_NEIGHBOR_RULES[e](x, y, self.side)
-        return bit
+                for _ in range(c):
+                    x, y = LU_NEIGHBOR_RULES[walk & 7](x, y, side)
+                    walk >>= 3
+        return bit & 1
 
 
 def from_params(p: ExtractorParams):

@@ -1,15 +1,14 @@
 """Composition driver: one weak-design subseed per output bit.
 
-Output bit i is extractor.extract(input, seed restricted to S_i).  An
-extractor with a ``prepare`` method parses the input once per run:
-extract_all calls it, holds the value it returns (RSH: an immutable tuple of
-polynomial coefficients) for the length of the call, and passes that value
-to ``extract`` in place of the input.  The extractor itself keeps nothing,
-so a later call sees the input's current contents.  Bits are sharded
-contiguously across workers, which receive the job and the prepared input
-together and share them read-only (fork); each worker owns its design row
-cache, and results land in disjoint bit ranges, so the output is
-byte-identical for any worker count.
+Output bit i is extractor.extract(prepared, subseed_i), where prepared is
+extractor.prepare(input) and subseed_i is the seed restricted to S_i, as an
+int.  extract_all parses the input once per call and holds the prepared value
+only for the length of the call; the extractor keeps nothing, so a later call
+sees the input's current contents.  Bits are sharded contiguously across
+worker processes.  Each worker receives the job and the prepared input
+through the pool initializer (under fork they are inherited, not pickled)
+and owns its design row cache; results land in disjoint bit ranges, so the
+output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -97,12 +96,12 @@ class BitBuffer:
         return int.from_bytes(self._buf, "little").bit_count()
 
 
-def slice_subseed(seed: BitBuffer, indices) -> BitBuffer:
-    """Bits of the seed at the given positions, in order."""
+def slice_subseed(seed: BitBuffer, indices) -> int:
+    """Bits of the seed at the given positions, in order, LSB-first."""
     out = 0
     for j, idx in enumerate(indices):
         out |= seed.get_bit(idx) << j
-    return BitBuffer(len(indices), out)
+    return out
 
 
 @dataclass
@@ -115,9 +114,8 @@ class ExtractionJob:
     workers: int = 1
 
 
-def _extract_range(job: ExtractionJob, source, lo: int, hi: int) -> int:
-    """Bits [lo, hi) of the output, packed LSB-first into an int; ``source``
-    is what the extractor reads in place of the input (see extract_all)."""
+def _extract_range(job: ExtractionJob, prepared, lo: int, hi: int) -> int:
+    """Bits [lo, hi) of the output, packed LSB-first into an int."""
     design = job.design
     extractor = job.extractor
     seed = job.seed
@@ -128,17 +126,22 @@ def _extract_range(job: ExtractionJob, source, lo: int, hi: int) -> int:
         # Designs may grant more seed than requested; the extractor
         # consumes the prefix of length t_req.
         sub = slice_subseed(seed, indices[:t_req])
-        out |= extractor.extract(source, sub) << (i - lo)
+        out |= extractor.extract(prepared, sub) << (i - lo)
     return out
 
 
-_ACTIVE: tuple[ExtractionJob, object] | None = None
+# Set by _init_worker in each pool worker process; never in the caller's.
+_worker_job: tuple[ExtractionJob, object] | None = None
+
+
+def _init_worker(job: ExtractionJob, prepared) -> None:
+    global _worker_job
+    _worker_job = (job, prepared)
 
 
 def _worker(bounds: tuple[int, int]) -> tuple[int, int]:
     lo, hi = bounds
-    job, source = _ACTIVE
-    return lo, _extract_range(job, source, lo, hi)
+    return lo, _extract_range(*_worker_job, lo, hi)
 
 
 def extract_all(job: ExtractionJob) -> BitBuffer:
@@ -147,24 +150,17 @@ def extract_all(job: ExtractionJob) -> BitBuffer:
             f"seed has {len(job.seed)} bits, design needs {job.design.d}")
     if job.design.t_act < job.extractor.t_req:
         raise ValueError("design grants fewer seed bits than the extractor needs")
-    prepare = getattr(job.extractor, "prepare", None)
-    source = job.input if prepare is None else prepare(job.input)
+    prepared = job.extractor.prepare(job.input)
     m = job.m
     workers = max(1, job.workers)
     if workers == 1 or m < 2 * workers:
-        return BitBuffer(m, _extract_range(job, source, 0, m))
-    bounds = []
+        return BitBuffer(m, _extract_range(job, prepared, 0, m))
     chunk = -(-m // workers)
-    for lo in range(0, m, chunk):
-        bounds.append((lo, min(lo + chunk, m)))
-    global _ACTIVE
+    bounds = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
     ctx = multiprocessing.get_context("fork")
-    _ACTIVE = (job, source)
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_worker, bounds)
-    finally:
-        _ACTIVE = None
+    with ctx.Pool(processes=workers, initializer=_init_worker,
+                  initargs=(job, prepared)) as pool:
+        parts = pool.map(_worker, bounds)
     value = 0
     for lo, part in parts:
         value |= part << lo

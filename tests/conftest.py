@@ -9,8 +9,13 @@ from trevex.weakdesign import DesignVariant, make_design
 FAMILIES = ("xor", "rsh", "lu")
 
 
+def rand_bits(rng: random.Random, bits: int) -> int:
+    return (int.from_bytes(rng.randbytes((bits + 7) // 8), "little")
+            & ((1 << bits) - 1))
+
+
 def rand_buf(rng: random.Random, bits: int) -> BitBuffer:
-    return BitBuffer.from_bytes(rng.randbytes((bits + 7) // 8), bits)
+    return BitBuffer(bits, rand_bits(rng, bits))
 
 
 def rand_extractor(rng: random.Random, family: str, n: int):

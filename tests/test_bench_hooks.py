@@ -39,14 +39,15 @@ def test_patched_modulus_changes_rsh_output_bit(monkeypatch):
     a different bit for this fixed (input, subseed)."""
     rng = random.Random(50)
     x = BitBuffer.from_bytes(rng.randbytes(8192))
-    sub = BitBuffer.from_bytes(rng.randbytes(13), 100)
+    sub = int.from_bytes(rng.randbytes(13), "little") & ((1 << 100) - 1)
     first = bitext.RshExtractor(len(x), 50)
     second = next(islice(reference.irreducibles(50), 1, None))
     monkeypatch.setattr(bitext, "find_irreducible",
                         lambda l: BinaryField(l, second))
     patched = bitext.RshExtractor(len(x), 50)
     assert patched.field.poly == second != first.field.poly
-    assert patched.extract(x, sub) != first.extract(x, sub)
+    assert (patched.extract(patched.prepare(x), sub)
+            != first.extract(first.prepare(x), sub))
 
 
 def test_basic_design_exposes_what_the_row_mutant_reads():

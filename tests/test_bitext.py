@@ -7,7 +7,7 @@ from trevex.finfield import BinaryField, find_irreducible
 from trevex.trevisan import BitBuffer, ExtractionJob, extract_all
 from trevex.weakdesign import DesignVariant, make_design
 
-from conftest import rand_buf
+from conftest import FAMILIES, rand_bits, rand_buf
 
 
 def buf_from_bits(bits):
@@ -17,86 +17,78 @@ def buf_from_bits(bits):
     return out
 
 
-class CountingBuffer(BitBuffer):
-    """BitBuffer that counts single-bit reads."""
+class CountingBytes(bytes):
+    """A prepared input that counts item reads."""
 
-    __slots__ = ("reads",)
+    reads = 0
 
-    def __init__(self, src: BitBuffer):
-        super().__init__(len(src))
-        self._buf[:] = src.to_bytes()
-        self.reads = 0
-
-    def get_bit(self, i):
+    def __getitem__(self, i):
         self.reads += 1
-        return super().get_bit(i)
+        return super().__getitem__(i)
 
 
 class TestXor:
     def test_all_zero_input(self, rng):
         ext = XorExtractor(64, 5)
+        zero = ext.prepare(BitBuffer(64))
         for _ in range(20):
-            assert ext.extract(BitBuffer(64), rand_buf(rng, ext.t_req)) == 0
+            assert ext.extract(zero, rand_bits(rng, ext.t_req)) == 0
 
     def test_hand_parity(self):
         ext = XorExtractor(8, 2)
-        x = buf_from_bits([1, 0, 1, 1, 0, 0, 0, 0])
+        x = ext.prepare(buf_from_bits([1, 0, 1, 1, 0, 0, 0, 0]))
         # positions 0 and 2, each as a 3-bit index
-        sub = BitBuffer(6, 0 | (2 << 3))
-        assert ext.extract(x, sub) == 0
+        assert ext.extract(x, 0 | (2 << 3)) == 0
         # positions 0 and 1 -> 1 xor 0 = 1
-        sub = BitBuffer(6, 0 | (1 << 3))
-        assert ext.extract(x, sub) == 1
+        assert ext.extract(x, 0 | (1 << 3)) == 1
 
     def test_index_reduced_mod_n(self):
         ext = XorExtractor(5, 1)
-        x = buf_from_bits([1, 0, 0, 0, 0])
-        assert ext.extract(x, BitBuffer(3, 5)) == 1  # 5 mod 5 = 0
+        x = ext.prepare(buf_from_bits([1, 0, 0, 0, 0]))
+        assert ext.extract(x, 5) == 1  # 5 mod 5 = 0
 
     def test_linearity(self, rng):
         ext = XorExtractor(128, 4)
         for _ in range(200):
             x1, x2 = rand_buf(rng, 128), rand_buf(rng, 128)
-            y = rand_buf(rng, ext.t_req)
-            assert ext.extract(x1 ^ x2, y) == (ext.extract(x1, y)
-                                               ^ ext.extract(x2, y))
+            y = rand_bits(rng, ext.t_req)
+            assert ext.extract(ext.prepare(x1 ^ x2), y) == (
+                ext.extract(ext.prepare(x1), y)
+                ^ ext.extract(ext.prepare(x2), y))
 
     def test_locality(self, rng):
         ext = XorExtractor(256, 7)
-        x = CountingBuffer(rand_buf(rng, 256))
-        ext.extract(x, rand_buf(rng, ext.t_req))
+        x = CountingBytes(ext.prepare(rand_buf(rng, 256)))
+        ext.extract(x, rand_bits(rng, ext.t_req))
         assert x.reads == 7
 
     def test_t_req(self):
         assert XorExtractor(1000, 3).t_req == 3 * 10
         assert XorExtractor(1024, 3).t_req == 3 * 10
 
-    def test_short_subseed_rejected(self):
-        with pytest.raises(ValueError):
-            XorExtractor(8, 2).extract(BitBuffer(8), BitBuffer(5))
-
 
 class TestRsh:
     def test_zero_input(self, rng):
         ext = RshExtractor(64, 8)
+        zero = ext.prepare(BitBuffer(64))
         for _ in range(20):
-            assert ext.extract(BitBuffer(64), rand_buf(rng, 16)) == 0
+            assert ext.extract(zero, rand_bits(rng, 16)) == 0
 
     def test_gf4_hand_computation(self):
         ext = RshExtractor(4, 2)
         assert ext.field == BinaryField(2, 0b111)
-        x = buf_from_bits([1, 0, 1, 1])   # c1 = 1, c2 = x+1
-        sub = BitBuffer(4, 1 | (2 << 2))  # alpha = 1, beta = x
-        assert ext.extract(x, sub) == 1
+        x = ext.prepare(buf_from_bits([1, 0, 1, 1]))  # c1 = 1, c2 = x+1
+        assert ext.extract(x, 1 | (2 << 2)) == 1      # alpha = 1, beta = x
 
     def test_alpha_zero_collapses_to_last_block(self, rng):
         ext = RshExtractor(32, 8)
         for _ in range(50):
             x = rand_buf(rng, 32)
             beta = rng.randrange(256)
-            sub = BitBuffer(16, 0 | (beta << 8))
+            sub = 0 | (beta << 8)
             c_last = x.get_bits(24, 8)
-            assert ext.extract(x, sub) == (c_last & beta).bit_count() & 1
+            want = (c_last & beta).bit_count() & 1
+            assert ext.extract(ext.prepare(x), sub) == want
 
     def test_horner_vs_power_sum(self, rng):
         for l in (2, 8, 16):
@@ -104,15 +96,15 @@ class TestRsh:
             f = ext.field
             for _ in range(40):
                 x = rand_buf(rng, 6 * l)
-                sub = rand_buf(rng, 2 * l)
-                alpha = sub.get_bits(0, l)
-                beta = sub.get_bits(l, l)
+                sub = rand_bits(rng, 2 * l)
+                alpha = sub & ((1 << l) - 1)
+                beta = sub >> l
                 acc = 0
                 for i in range(ext.s):
                     c = x.get_bits(i * l, l)
                     acc ^= f.mul(c, f.pow(alpha, ext.s - 1 - i))
                 want = (acc & beta).bit_count() & 1
-                assert ext.extract(x, sub) == want
+                assert ext.extract(ext.prepare(x), sub) == want
 
     def test_last_block_zero_padded(self):
         ext = RshExtractor(10, 8)
@@ -124,60 +116,76 @@ class TestRsh:
         ext = RshExtractor(100, 8)
         for _ in range(200):
             x1, x2 = rand_buf(rng, 100), rand_buf(rng, 100)
-            y = rand_buf(rng, 16)
-            assert ext.extract(x1 ^ x2, y) == (ext.extract(x1, y)
-                                               ^ ext.extract(x2, y))
+            y = rand_bits(rng, 16)
+            assert ext.extract(ext.prepare(x1 ^ x2), y) == (
+                ext.extract(ext.prepare(x1), y)
+                ^ ext.extract(ext.prepare(x2), y))
 
     def test_block_size_guard(self):
         with pytest.raises(ValueError):
             RshExtractor(100, 65)
 
-    def test_prepare_returns_immutable_coefficients(self, rng):
-        ext = RshExtractor(100, 8)
-        x = rand_buf(rng, 100)
-        coeffs = ext.prepare(x)
-        assert isinstance(coeffs, tuple)
-        assert coeffs == tuple(x.get_bits(i * 8, 8) for i in range(ext.s))
-        y = rand_buf(rng, 16)
-        assert ext.extract(coeffs, y) == ext.extract(x, y)
+
+def _extractor(family: str, n: int):
+    if family == "xor":
+        return XorExtractor(n, 6)
+    if family == "rsh":
+        return RshExtractor(n, 10)
+    return LuExtractor(n, 2, 5)
 
 
-class TestRshNoHiddenState:
+@pytest.mark.parametrize("family", FAMILIES)
+class TestNoHiddenState:
     """Defect 5a: output bits must depend on the input's current contents,
     never on an earlier call's view of the same buffer object."""
 
-    def _job(self, rng):
-        ext = RshExtractor(640, 10)
+    def _job(self, rng, family):
+        ext = _extractor(family, 640)
         design = make_design(DesignVariant.GFP, ext.t_req, 64)
         return ExtractionJob(input=rand_buf(rng, 640),
                              seed=rand_buf(rng, design.d), design=design,
                              extractor=ext, m=64)
 
-    def test_input_zeroed_in_place_after_extract_all(self, rng):
-        job = self._job(rng)
+    def test_prepare_returns_immutable_value(self, rng, family):
+        ext = _extractor(family, 100)
+        x = rand_buf(rng, 100)
+        prepared = ext.prepare(x)
+        if family == "rsh":
+            assert isinstance(prepared, tuple)
+            assert prepared == tuple(x.get_bits(i * 10, 10)
+                                     for i in range(ext.s))
+        else:
+            assert isinstance(prepared, bytes)
+            assert prepared == x.to_bytes()
+        x.set_bit(0, 1 - x.get_bit(0))
+        assert ext.prepare(x) != prepared
+
+    def test_input_zeroed_in_place_after_extract_all(self, rng, family):
+        job = self._job(rng, family)
+        ext = job.extractor
         assert extract_all(job).ones() > 0
-        subs = [rand_buf(rng, job.extractor.t_req) for _ in range(64)]
+        subs = [rand_bits(rng, ext.t_req) for _ in range(64)]
         job.input._buf[:] = bytes(len(job.input._buf))
-        assert [job.extractor.extract(job.input, y) for y in subs] == [0] * 64
+        assert [ext.extract(ext.prepare(job.input), y)
+                for y in subs] == [0] * 64
         assert extract_all(job).ones() == 0
 
-    def test_input_zeroed_in_place_after_prepare(self, rng):
-        ext = RshExtractor(640, 10)
+    def test_input_zeroed_in_place_after_prepare(self, rng, family):
+        ext = _extractor(family, 640)
         x = rand_buf(rng, 640)
         ext.prepare(x)
-        subs = [rand_buf(rng, ext.t_req) for _ in range(64)]
-        assert any(ext.extract(x, y) for y in subs)
+        subs = [rand_bits(rng, ext.t_req) for _ in range(64)]
+        assert any(ext.extract(ext.prepare(x), y) for y in subs)
         for i in range(len(x)):
             x.set_bit(i, 0)
-        assert [ext.extract(x, y) for y in subs] == [0] * 64
+        assert [ext.extract(ext.prepare(x), y) for y in subs] == [0] * 64
 
-    def test_no_attribute_changes(self, rng):
-        job = self._job(rng)
+    def test_no_attribute_changes(self, rng, family):
+        job = self._job(rng, family)
         ext = job.extractor
         before = dict(vars(ext))
         ext.prepare(job.input)
-        ext.extract(job.input, rand_buf(rng, ext.t_req))
-        ext.extract(ext.prepare(job.input), rand_buf(rng, ext.t_req))
+        ext.extract(ext.prepare(job.input), rand_bits(rng, ext.t_req))
         extract_all(job)
         assert vars(ext) == before
 
@@ -203,8 +211,7 @@ def test_table_horner_matches_field_mul(rng, l):
             want = _mul_horner_bits(field, coeffs, alpha)
             got = 0
             for j in range(l):
-                sub = BitBuffer(2 * l, alpha | (1 << (l + j)))
-                got |= ext.extract(coeffs, sub) << j
+                got |= ext.extract(coeffs, alpha | (1 << (l + j))) << j
             assert got == want, (l, alpha)
 
 
@@ -234,17 +241,17 @@ class TestLuNeighborRules:
 class TestLu:
     def test_zero_input(self, rng):
         ext = LuExtractor(81, 2, 4)
+        zero = ext.prepare(BitBuffer(81))
         for _ in range(20):
-            assert ext.extract(BitBuffer(81), rand_buf(rng, ext.t_req)) == 0
+            assert ext.extract(zero, rand_bits(rng, ext.t_req)) == 0
 
     def test_beta_zero(self, rng):
         ext = LuExtractor(81, 2, 4)
         beta_off = ext.idx_width + 3 * ext.c * (ext.ell - 1)
         for _ in range(20):
-            sub = rand_buf(rng, ext.t_req)
-            for i in range(ext.ell):
-                sub.set_bit(beta_off + i, 0)
-            assert ext.extract(rand_buf(rng, 81), sub) == 0
+            sub = rand_bits(rng, ext.t_req)
+            sub &= ~(((1 << ext.ell) - 1) << beta_off)
+            assert ext.extract(ext.prepare(rand_buf(rng, 81)), sub) == 0
 
     def test_hand_traced_walk(self):
         ext = LuExtractor(9, 1, 2)
@@ -253,24 +260,25 @@ class TestLu:
         x.set_bit(4, 1)  # vertex (1,1)
         x.set_bit(1, 1)  # vertex (0,1)
         # start v=4 -> (1,1); one step with e=0 -> (0,1); beta = (1,1)
-        sub = BitBuffer(9, 4 | (0 << 4) | (0b11 << 7))
-        assert ext.extract(x, sub) == 0  # 1 xor 1
+        sub = 4 | (0 << 4) | (0b11 << 7)
+        assert ext.extract(ext.prepare(x), sub) == 0  # 1 xor 1
         x.set_bit(1, 0)
-        assert ext.extract(x, sub) == 1  # 1 xor 0
+        assert ext.extract(ext.prepare(x), sub) == 1  # 1 xor 0
 
     def test_locality(self, rng):
         ext = LuExtractor(49, 2, 5)
-        x = CountingBuffer(rand_buf(rng, 49))
-        ext.extract(x, rand_buf(rng, ext.t_req))
+        x = CountingBytes(ext.prepare(rand_buf(rng, 49)))
+        ext.extract(x, rand_bits(rng, ext.t_req))
         assert x.reads == 5
 
     def test_linearity(self, rng):
         ext = LuExtractor(100, 2, 4)
         for _ in range(200):
             x1, x2 = rand_buf(rng, 100), rand_buf(rng, 100)
-            y = rand_buf(rng, ext.t_req)
-            assert ext.extract(x1 ^ x2, y) == (ext.extract(x1, y)
-                                               ^ ext.extract(x2, y))
+            y = rand_bits(rng, ext.t_req)
+            assert ext.extract(ext.prepare(x1 ^ x2), y) == (
+                ext.extract(ext.prepare(x1), y)
+                ^ ext.extract(ext.prepare(x2), y))
 
     def test_t_req_formula(self):
         ext = LuExtractor(100, 3, 7)
@@ -301,5 +309,6 @@ class TestInterface:
         for ext in (XorExtractor(128, 4), RshExtractor(128, 8),
                     LuExtractor(128, 2, 4)):
             x = rand_buf(rng, 128)
-            y = rand_buf(rng, ext.t_req)
-            assert ext.extract(x, y) == ext.extract(x, y)
+            y = rand_bits(rng, ext.t_req)
+            assert (ext.extract(ext.prepare(x), y)
+                    == ext.extract(ext.prepare(x), y))

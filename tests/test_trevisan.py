@@ -1,9 +1,13 @@
+import multiprocessing
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trevex import trevisan
 from trevex.bitext import LuExtractor, RshExtractor, XorExtractor
 from trevex.trevisan import (BitBuffer, ExtractionJob, InsufficientSeedError,
                              extract_all, slice_subseed)
@@ -71,19 +75,19 @@ class TestSliceSubseed:
     def test_identity_prefix(self, rng):
         seed = rand_buf(rng, 64)
         sub = slice_subseed(seed, range(16))
-        assert all(sub.get_bit(i) == seed.get_bit(i) for i in range(16))
+        assert all(sub >> i & 1 == seed.get_bit(i) for i in range(16))
 
     def test_hand_selection(self):
         seed = BitBuffer(5)
         for i, bit in enumerate([1, 0, 1, 1, 0]):
             seed.set_bit(i, bit)
         sub = slice_subseed(seed, [4, 0, 2])
-        assert [sub.get_bit(i) for i in range(3)] == [0, 1, 1]
+        assert [sub >> i & 1 for i in range(3)] == [0, 1, 1]
 
-    def test_length(self, rng):
-        seed = rand_buf(rng, 64)
+    def test_length(self):
+        seed = BitBuffer(64, (1 << 64) - 1)
         for k in (0, 1, 7, 64):
-            assert len(slice_subseed(seed, range(k))) == k
+            assert slice_subseed(seed, range(k)) == (1 << k) - 1
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -110,7 +114,8 @@ class TestExtractAll:
         job = ExtractionJob(input=x, seed=seed, design=design,
                             extractor=ext, m=1)
         row = design.compute_Si(0)
-        want = ext.extract(x, slice_subseed(seed, row[:ext.t_req]))
+        want = ext.extract(ext.prepare(x),
+                           slice_subseed(seed, row[:ext.t_req]))
         assert extract_all(job).get_bit(0) == want
 
     def test_worker_count_invariance(self, rng):
@@ -121,6 +126,52 @@ class TestExtractAll:
                 job.workers = workers
                 outs.append(extract_all(job).to_bytes())
             assert outs[0] == outs[1] == outs[2]
+
+    def test_concurrent_calls_keep_their_own_jobs(self, rng):
+        """Defect 5c: two threads that fan out at the same time each get
+        the bits of their own job."""
+        jobs = [rand_job(rng, "xor"), rand_job(rng, "lu")]
+        want = [extract_all(job) for job in jobs]
+        for job in jobs:
+            job.workers = 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = [None, None]
+                start = threading.Barrier(2)
+
+                def run(k):
+                    start.wait()
+                    got[k] = extract_all(jobs[k])
+
+                threads = [threading.Thread(target=run, args=(k,),
+                                            daemon=True) for k in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_handoff_under_spawn(self, rng):
+        """The pool initializer hands workers their job; nothing relies on
+        fork copying the caller's memory."""
+        ctx = multiprocessing.get_context("spawn")
+        for family in FAMILIES:
+            job = rand_job(rng, family)
+            prepared = job.extractor.prepare(job.input)
+            half = job.m // 2
+            with ctx.Pool(processes=2, initializer=trevisan._init_worker,
+                          initargs=(job, prepared)) as pool:
+                parts = pool.map_async(trevisan._worker,
+                                       [(0, half), (half, job.m)]).get(120)
+            value = 0
+            for lo, part in parts:
+                value |= part << lo
+            assert BitBuffer(job.m, value) == extract_all(job)
 
     def test_insufficient_seed(self, rng):
         ext = XorExtractor(64, 3)
@@ -152,7 +203,7 @@ class TestExtractAll:
         for i in range(8):
             row = design.compute_Si(i)
             sub = slice_subseed(seed, row[:ext.t_req])
-            assert out.get_bit(i) == ext.extract(x, sub)
+            assert out.get_bit(i) == ext.extract(ext.prepare(x), sub)
 
     def test_unused_seed_bit_is_ignored(self, rng):
         ext = XorExtractor(64, 3)
