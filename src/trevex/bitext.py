@@ -101,8 +101,7 @@ class RshExtractor:
 
     def extract(self, prepared: tuple[int, ...], subseed: int) -> int:
         l = self.l
-        mask = (1 << l) - 1
-        t0, t1, t2, t3, t4, t5, t6, t7 = self._tables(subseed & mask)
+        t0, t1, t2, t3, t4, t5, t6, t7 = self._tables(subseed & (1 << l) - 1)
         r = 0
         for c in prepared:  # Horner: sum c_i alpha^(s-i)
             r = (t0[r & 255] ^ t1[r >> 8 & 255] ^ t2[r >> 16 & 255]

@@ -7,7 +7,7 @@ from trevex.finfield import BinaryField, find_irreducible
 from trevex.trevisan import BitBuffer, ExtractionJob, extract_all
 from trevex.weakdesign import DesignVariant, make_design
 
-from conftest import FAMILIES, rand_bits, rand_buf
+from conftest import FAMILIES, rand_bits, rand_buf, rand_extractor
 
 
 def buf_from_bits(bits):
@@ -126,33 +126,25 @@ class TestRsh:
             RshExtractor(100, 65)
 
 
-def _extractor(family: str, n: int):
-    if family == "xor":
-        return XorExtractor(n, 6)
-    if family == "rsh":
-        return RshExtractor(n, 10)
-    return LuExtractor(n, 2, 5)
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 class TestNoHiddenState:
     """Defect 5a: output bits must depend on the input's current contents,
     never on an earlier call's view of the same buffer object."""
 
     def _job(self, rng, family):
-        ext = _extractor(family, 640)
+        ext = rand_extractor(rng, family, 640)
         design = make_design(DesignVariant.GFP, ext.t_req, 64)
         return ExtractionJob(input=rand_buf(rng, 640),
                              seed=rand_buf(rng, design.d), design=design,
                              extractor=ext, m=64)
 
     def test_prepare_returns_immutable_value(self, rng, family):
-        ext = _extractor(family, 100)
+        ext = rand_extractor(rng, family, 100)
         x = rand_buf(rng, 100)
         prepared = ext.prepare(x)
         if family == "rsh":
             assert isinstance(prepared, tuple)
-            assert prepared == tuple(x.get_bits(i * 10, 10)
+            assert prepared == tuple(x.get_bits(i * ext.l, ext.l)
                                      for i in range(ext.s))
         else:
             assert isinstance(prepared, bytes)
@@ -171,7 +163,7 @@ class TestNoHiddenState:
         assert extract_all(job).ones() == 0
 
     def test_input_zeroed_in_place_after_prepare(self, rng, family):
-        ext = _extractor(family, 640)
+        ext = rand_extractor(rng, family, 640)
         x = rand_buf(rng, 640)
         ext.prepare(x)
         subs = [rand_bits(rng, ext.t_req) for _ in range(64)]
