@@ -135,6 +135,12 @@ def _design_for(args, p: params.ExtractorParams):
             raise DesignFormatError(
                 f"cached design ({design.t_act=}, {design.m=}) too small for "
                 f"this job (t_req={p.t_req}, m={p.m})")
+        # Block rows depend on m through block_partition; basic rows do not,
+        # and a prefix of a larger basic design keeps the overlap bound.
+        if variant.is_block and design.m != p.m:
+            raise DesignFormatError(
+                f"cached block design has m={design.m}, but this job needs "
+                f"m={p.m}")
         return design
     return weakdesign.make_design(variant, p.t_req, p.m)
 

@@ -1,14 +1,12 @@
 """Finite-field contexts used by the weak designs and one-bit extractors.
 
-Three kinds of field are provided:
+Two kinds of field are provided, for the two shapes of weak-design order t
+(a prime or a power of two):
 
 * :class:`PrimeField` -- GF(p) for prime p below 2**61.
 * :class:`BinaryField` -- GF(2**l) for 1 <= l <= 64, with a deterministic
   irreducible polynomial (smallest trinomial, else smallest pentanomial) so
   that extraction output is reproducible across builds.
-* :class:`ExtensionField` -- small GF(p**k) for odd p, needed only so that
-  weak designs can be built and verified for every prime-power set size
-  (e.g. t = 9).
 
 All contexts are immutable after construction and safe to share across
 workers.
@@ -78,9 +76,6 @@ class PrimeField:
     def order(self) -> int:
         return self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
@@ -113,20 +108,6 @@ def _gf2_poly_gcd(a: int, b: int) -> int:
 # squares a GF(2) polynomial of degree < 64.
 _SPREAD = tuple((k, sum(((1 << k) - 1) << (2 * k * j) for j in range(64 // k)))
                 for k in (32, 16, 8, 4, 2, 1))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def gf2_irreducible(poly: int) -> bool:
@@ -198,9 +179,6 @@ class BinaryField:
     def order(self) -> int:
         return 1 << self.l
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         res = 0
         while b:
@@ -230,123 +208,10 @@ class BinaryField:
         return acc
 
 
-class ExtensionField:
-    """GF(p**k) for odd prime p and small k, for prime-power design sizes.
-
-    Elements are integers in [0, p**k) read as base-p digit vectors, i.e.
-    coefficient lists of polynomials over GF(p).  Only used at design scale
-    (order <= a few dozen), so the schoolbook arithmetic is fine.
-    """
-
-    def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise ValueError(f"p={p} not prime")
-        if k < 2:
-            raise ValueError("use PrimeField for k=1")
-        self.p = p
-        self.k = k
-        self._modulus = self._find_irreducible(p, k)
-
-    @staticmethod
-    def _poly_mod(poly: list[int], modulus: list[int], p: int) -> list[int]:
-        poly = poly[:]
-        dm = len(modulus) - 1
-        while len(poly) - 1 >= dm and any(poly):
-            if poly[-1] == 0:
-                poly.pop()
-                continue
-            shift = len(poly) - 1 - dm
-            factor = poly[-1]  # modulus is monic
-            for i, c in enumerate(modulus):
-                poly[shift + i] = (poly[shift + i] - factor * c) % p
-            while len(poly) > 1 and poly[-1] == 0:
-                poly.pop()
-        return poly
-
-    @classmethod
-    def _is_irreducible(cls, modulus: list[int], p: int) -> bool:
-        # Trial division by all monic polynomials of degree <= deg/2.
-        k = len(modulus) - 1
-        for deg in range(1, k // 2 + 1):
-            for idx in range(p ** deg):
-                div = []
-                v = idx
-                for _ in range(deg):
-                    div.append(v % p)
-                    v //= p
-                div.append(1)
-                if not any(cls._poly_mod(modulus, div, p)):
-                    return False
-        return True
-
-    @classmethod
-    def _find_irreducible(cls, p: int, k: int) -> list[int]:
-        for idx in range(p ** k):
-            coeffs = []
-            v = idx
-            for _ in range(k):
-                coeffs.append(v % p)
-                v //= p
-            coeffs.append(1)  # monic
-            if cls._is_irreducible(coeffs, p):
-                return coeffs
-        raise ValueError(f"no irreducible polynomial for GF({p}^{k})")
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.k
-
-    def _decode(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, coeffs: list[int]) -> int:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c
-        return v
-
-    def add(self, a: int, b: int) -> int:
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
-
-    def mul(self, a: int, b: int) -> int:
-        da, db = self._decode(a), self._decode(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        rem = self._poly_mod(prod, self._modulus, self.p)
-        rem += [0] * (self.k - len(rem))
-        return self._encode(rem[:self.k])
-
-    def poly_eval(self, coeffs, x: int) -> int:
-        if not coeffs:
-            raise ValueError("coeffs must be non-empty")
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
-        return acc
-
-
 def field_for_order(t: int):
-    """Field context of order t for any prime power t."""
-    if t < 2:
-        raise ValueError(f"t={t} must be >= 2")
-    if t & (t - 1) == 0:
+    """Field context of order t: GF(2**l) for t = 2**l, GF(p) for prime t."""
+    if t >= 2 and t & (t - 1) == 0:
         return find_irreducible(t.bit_length() - 1)
     if is_prime(t):
         return PrimeField(t)
-    for p in _prime_factors(t):
-        k = 0
-        n = t
-        while n % p == 0:
-            n //= p
-            k += 1
-        if n == 1:
-            return ExtensionField(p, k)
-    raise ValueError(f"t={t} is not a prime power")
+    raise ValueError(f"t={t} is neither a prime nor a power of two")

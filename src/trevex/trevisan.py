@@ -150,6 +150,9 @@ def extract_all(job: ExtractionJob) -> BitBuffer:
             f"seed has {len(job.seed)} bits, design needs {job.design.d}")
     if job.design.t_act < job.extractor.t_req:
         raise ValueError("design grants fewer seed bits than the extractor needs")
+    if len(job.input) != job.extractor.n:
+        raise ValueError(f"input has {len(job.input)} bits, extractor "
+                         f"takes n={job.extractor.n}")
     prepared = job.extractor.prepare(job.input)
     m = job.m
     workers = max(1, job.workers)

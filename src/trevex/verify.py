@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finfield import BinaryField, ExtensionField, PrimeField
+from .finfield import BinaryField, PrimeField
 from .params import RKind
 from .trevisan import BitBuffer, ExtractionJob
 from .weakdesign import BasicDesign, BlockDesign
@@ -125,8 +125,6 @@ def _naive_field_ops(field):
         l, poly = field.l, field.poly
         return (lambda a, b: _naive_binary_mulmod(a, b, l, poly),
                 lambda a, b: a ^ b)
-    if isinstance(field, ExtensionField):
-        raise BudgetExceededError("naive path covers GF(p) and GF(2^l) designs")
     raise BudgetExceededError(f"unsupported field {type(field).__name__}")
 
 

@@ -4,8 +4,8 @@ A weak (m, t, r, d)-design is a family of m size-t subsets of [0, d) whose
 pairwise-intersection weight sum_{j<i} 2^{|S_j cap S_i|} stays below r*m.
 Two constructions are provided:
 
-* the basic polynomial design over a field of prime-power order t
-  (d = t**2, overlap r = 2e), and
+* the basic polynomial design over the field of prime or power-of-two
+  order t, GF(p) or GF(2**l) (d = t**2, overlap r = 2e), and
 * the block design that places several basic designs on a diagonal
   (d = (ell+1) * t**2, overlap r = 1).
 

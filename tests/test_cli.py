@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ def parse_report(capsys):
 
 RSH_ARGS = ["--bitext", "rsh", "-n", "4096", "--alpha", "0.9",
             "--eps", "0.01"]
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestDryRun:
@@ -170,6 +173,35 @@ class TestExtract:
         assert "--design" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cached_block_design_of_other_m_rejected(self, tmp_path, capsys):
+        # Block rows depend on m through the block partition, so the first
+        # 64 rows of a design built for m = 256 are not the 64-row design.
+        inp, sd = self._files(tmp_path, 512, 4096)  # enough seed for m = 256
+        cache = tmp_path / "design.twd"
+        out = tmp_path / "out.bin"
+        base = RSH_ARGS + ["--design", "block-gfp"]
+        assert run(base + ["-m", "256", "--gen-design",
+                           "--save-design", str(cache)]) == 0
+        capsys.readouterr()
+        code = run(base + ["-m", "64", "--input", str(inp), "--seed", str(sd),
+                           "--output", str(out), "--load-design", str(cache)])
+        assert code == 4
+        assert "m=256" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cached_basic_design_prefix_matches_fresh_design(self, tmp_path):
+        # Basic rows do not depend on m: a cache for m = 256 serves -m 64.
+        inp, sd = self._files(tmp_path, 512, 2048)
+        cache = tmp_path / "design.twd"
+        fresh, loaded = tmp_path / "fresh.bin", tmp_path / "loaded.bin"
+        assert run(RSH_ARGS + ["-m", "256", "--gen-design",
+                               "--save-design", str(cache)]) == 0
+        base = RSH_ARGS + ["-m", "64", "--input", str(inp), "--seed", str(sd)]
+        assert run(base + ["--output", str(fresh)]) == 0
+        assert run(base + ["--output", str(loaded),
+                           "--load-design", str(cache)]) == 0
+        assert loaded.read_bytes() == fresh.read_bytes()
+
 
 class TestDesignTools:
     def test_gen_then_verify(self, tmp_path, capsys):
@@ -210,3 +242,18 @@ class TestDesignTools:
         design_save(bad, cache)
         assert run(["--verify-design", str(cache)]) == 5
         assert "row 3" in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_library_example_matches_cli(self, tmp_path, monkeypatch):
+        block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+        rng = random.Random(1234)
+        (tmp_path / "input.bin").write_bytes(rng.randbytes(512))
+        (tmp_path / "seed.bin").write_bytes(rng.randbytes(2048))
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, str(README), "exec"), {})
+        assert run(RSH_ARGS + ["-m", "64", "--input", "input.bin",
+                               "--seed", "seed.bin", "--output", "cli.bin"]) == 0
+        out = (tmp_path / "out.bin").read_bytes()
+        assert len(out) == 8
+        assert out == (tmp_path / "cli.bin").read_bytes()

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trevex.finfield import (BinaryField, ExtensionField, PrimeField,
-                             field_for_order, find_irreducible, gf2_irreducible,
-                             is_prime, next_prime)
+from trevex.finfield import (BinaryField, PrimeField, field_for_order,
+                             find_irreducible, gf2_irreducible, is_prime,
+                             next_prime)
+from trevex.weakdesign import BasicDesign
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -202,54 +203,26 @@ class TestBinaryField:
             BinaryField(3, 0b111)
 
 
-class TestExtensionField:
-    def test_order(self):
-        assert ExtensionField(3, 2).order == 9
-
-    def test_axioms(self, rng):
-        f = ExtensionField(3, 2)
-        zero, one = 0, 1
-        for _ in range(300):
-            a, b, c = (rng.randrange(9) for _ in range(3))
-            assert f.mul(a, b) == f.mul(b, a)
-            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-            assert f.mul(a, one) == a
-            assert f.add(a, zero) == a
-
-    def test_multiplicative_order(self):
-        f = ExtensionField(3, 2)
-        for a in range(1, 9):
-            acc = 1
-            for _ in range(8):
-                acc = f.mul(acc, a)
-            assert acc == 1
-
-    def test_rejects_k1(self):
-        with pytest.raises(ValueError):
-            ExtensionField(3, 1)
-
-
 class TestFieldForOrder:
     def test_dispatch(self):
         assert isinstance(field_for_order(101), PrimeField)
         assert isinstance(field_for_order(16), BinaryField)
-        assert isinstance(field_for_order(9), ExtensionField)
 
     def test_orders(self):
-        for t in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
+        for t in (2, 3, 4, 5, 7, 8, 11, 13, 16):
             assert field_for_order(t).order == t
 
-    def test_not_prime_power(self):
+    def test_neither_prime_nor_power_of_two(self):
+        for t in (6, 9, 25, 27):
+            with pytest.raises(ValueError):
+                field_for_order(t)
         with pytest.raises(ValueError):
-            field_for_order(6)
+            BasicDesign(9, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=64))
     def test_small_orders(self, t):
-        is_pp = any(t == p ** k for p in range(2, t + 1)
-                    if trial_division_prime(p) for k in range(1, 7))
-        if is_pp:
+        if trial_division_prime(t) or t & (t - 1) == 0:
             assert field_for_order(t).order == t
         else:
             with pytest.raises(ValueError):

@@ -191,6 +191,18 @@ class TestExtractAll:
         with pytest.raises(ValueError):
             extract_all(job)
 
+    @pytest.mark.parametrize("bits", [1000, 1020])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_input_length_must_equal_n(self, rng, family, bits):
+        ext = {"xor": XorExtractor(1024, 3), "rsh": RshExtractor(1024, 8),
+               "lu": LuExtractor(1024, 2, 3)}[family]
+        design = make_design(DesignVariant.GFP, ext.t_req, 8)
+        job = ExtractionJob(input=rand_buf(rng, bits),
+                            seed=rand_buf(rng, design.d),
+                            design=design, extractor=ext, m=8)
+        with pytest.raises(ValueError, match="n=1024"):
+            extract_all(job)
+
     def test_surplus_design_bits_prefix_rule(self, rng):
         # design grants t_act > t_req; only the prefix feeds the extractor
         ext = XorExtractor(64, 3)          # t_req = 18

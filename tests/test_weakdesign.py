@@ -45,7 +45,7 @@ class TestBasicDesign:
         assert BasicDesign(2, 6).compute_Si(3) == [1, 2]
 
     def test_rows_sorted_distinct_in_range(self, rng):
-        for t in (2, 5, 8, 9, 11):
+        for t in (2, 5, 8, 11):
             d = BasicDesign(t, 40)
             for i in range(40):
                 row = d.compute_Si(i)
@@ -243,7 +243,7 @@ class TestDiskCache:
 
 class TestOverlapInvariants:
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]),
+    @given(st.sampled_from([2, 3, 4, 5, 7, 8, 11, 13, 16]),
            st.integers(min_value=1, max_value=96))
     def test_basic_bound_sampled(self, t, m):
         from trevex.verify import overlap_check
