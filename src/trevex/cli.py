@@ -70,7 +70,8 @@ def build_parser() -> _Parser:
     return p
 
 
-def _derive(args) -> params.ExtractorParams:
+def _derive(args) -> tuple[params.ExtractorParams, int, int]:
+    """The run's extractor parameters and its design's sizing (t_act, d)."""
     for name in ("bitext", "n", "alpha", "eps"):
         if getattr(args, name) is None:
             raise UsageError(f"--{name.replace('_', '-')} is required" if name != "n"
@@ -87,23 +88,22 @@ def _derive(args) -> params.ExtractorParams:
                                   r_kind, mu=args.mu, nu=args.nu)
     p = params.derive_params(args.bitext, args.n, m, args.alpha, args.eps,
                              r_kind, mu=args.mu, nu=args.nu)
-    p.t_act, p.d = weakdesign.design_d(variant, p.t_req, m)
-    return p
+    return (p, *weakdesign.design_d(variant, p.t_req, m))
 
 
 def run_dry(args) -> int:
-    p = _derive(args)
+    p, t_act, d = _derive(args)
     print(f"n={p.n}")
     print(f"m={p.m}")
     print(f"gamma={p.gamma if p.gamma is not None else 0.0}")
     print(f"ell={p.ell}")
     print(f"t_req={p.t_req}")
-    print(f"t_act={p.t_act}")
-    print(f"d={p.d}")
+    print(f"t_act={t_act}")
+    print(f"d={d}")
     print(f"k={p.k}")
-    print(f"r={p.r}")
+    print(f"r={p.r_kind.real}")
     print(f"feasible={'true' if p.feasible else 'false'}")
-    print(f"seed_surplus={p.m - p.d}")
+    print(f"seed_surplus={p.m - d}")
     return EXIT_OK if p.feasible else EXIT_INFEASIBLE
 
 
@@ -121,32 +121,26 @@ class InsufficientData(Exception):
     pass
 
 
-def _design_for(args, p: params.ExtractorParams):
+def _design_for(args, p: params.ExtractorParams, t_act: int):
+    """The design the run sizes, or a cache of that design: its variant
+    (k used its r) and t_act (the seed is sized by it), and its m for block
+    rows, which depend on m; a basic cache may be larger, since a prefix of
+    basic rows keeps the overlap bound."""
     variant = _VARIANTS[args.design]
-    if args.load_design:
-        design = weakdesign.design_load(args.load_design)
-        # k was derived with the r of --design; a cache of another variant
-        # would leave the entropy accounting describing a different design.
-        if design.variant is not variant:
-            raise DesignFormatError(
-                f"cached design is {design.variant.name}, but --design "
-                f"{args.design} was requested")
-        if design.t_act < p.t_req or design.m < p.m:
-            raise DesignFormatError(
-                f"cached design ({design.t_act=}, {design.m=}) too small for "
-                f"this job (t_req={p.t_req}, m={p.m})")
-        # Block rows depend on m through block_partition; basic rows do not,
-        # and a prefix of a larger basic design keeps the overlap bound.
-        if variant.is_block and design.m != p.m:
-            raise DesignFormatError(
-                f"cached block design has m={design.m}, but this job needs "
-                f"m={p.m}")
-        return design
-    return weakdesign.make_design(variant, p.t_req, p.m)
+    if not args.load_design:
+        return weakdesign.make_design(variant, p.t_req, p.m)
+    design = weakdesign.design_load(args.load_design)
+    if (design.variant is not variant or design.t_act != t_act
+            or (design.m != p.m if variant.is_block else design.m < p.m)):
+        raise DesignFormatError(
+            f"cached design ({design.variant.name}, t_act={design.t_act}, "
+            f"m={design.m}) is not the design of --design {args.design} "
+            f"for this job (t_act={t_act}, m={p.m})")
+    return design
 
 
 def run_extract(args) -> int:
-    p = _derive(args)
+    p, t_act, _ = _derive(args)
     if not p.feasible:
         print("infeasible parameter set (use --dry-run for the report)",
               file=sys.stderr)
@@ -154,7 +148,7 @@ def run_extract(args) -> int:
     for name in ("input", "seed", "output"):
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required for extraction")
-    design = _design_for(args, p)
+    design = _design_for(args, p, t_act)
     input_buf = _read_bits(args.input, p.n, "input")
     seed_buf = _read_bits(args.seed, design.d, "seed")
     extractor = bitext.from_params(p)
@@ -177,7 +171,7 @@ def run_extract(args) -> int:
 def run_gen_design(args) -> int:
     if args.save_design is None:
         raise UsageError("--gen-design needs --save-design")
-    p = _derive(args)
+    p, _, _ = _derive(args)
     design = weakdesign.make_design(_VARIANTS[args.design], p.t_req, p.m)
     weakdesign.design_save(design, args.save_design)
     print(f"t_act={design.t_act}")
@@ -227,13 +221,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InfeasibleParameters as exc:
+    except (InfeasibleParameters, DesignError) as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except InsufficientData as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    except (DesignFormatError, DesignError, OSError) as exc:
+    except (DesignFormatError, OSError) as exc:
         print(f"I/O or format error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -115,11 +115,8 @@ def solve_w(nu: float) -> float:
 
 @dataclass
 class ExtractorParams:
-    """User inputs plus all derived extractor quantities.
-
-    ``t_act`` and ``d`` stay None until a weak-design variant has been
-    selected (they depend on the design's rounding of ``t_req``).
-    """
+    """User inputs plus the one-bit extractor's derived quantities.  The
+    design's seed sizing (t_act, d) is ``weakdesign.design_d``'s."""
 
     family: str                 # "xor" | "rsh" | "lu"
     n: int                      # input length, bits
@@ -130,18 +127,14 @@ class ExtractorParams:
     k: float                    # required source min-entropy, bits
     t_req: int                  # one-bit extractor seed length, bits
     ell: int                    # XOR sample count / hash length / walk length
-    feasible: bool
     gamma: float | None = None  # XOR only: mu*alpha
     mu: float | None = None     # XOR only
     nu: float | None = None     # Lu only
     c: int | None = None        # Lu only: walk sub-steps per remembered vertex
-    s: int | None = None        # RSH only: block count
-    t_act: int | None = None
-    d: int | None = None
 
     @property
-    def r(self) -> float:
-        return self.r_kind.real
+    def feasible(self) -> bool:
+        return self.k <= self.alpha * self.n and self.m >= 1
 
 
 def _check_common(n: int, m: int, alpha: float, eps: float) -> None:
@@ -172,8 +165,7 @@ def xor_params(n: int, m: int, alpha: float, mu: float, eps: float,
          + math.log2(4.0 / 3.0) + r_kind.real * m)
     return ExtractorParams(
         family="xor", n=n, m=m, alpha=alpha, eps=eps, r_kind=r_kind,
-        k=k, t_req=t_req, ell=ell, feasible=(k <= alpha * n and m >= 1),
-        gamma=gamma, mu=mu)
+        k=k, t_req=t_req, ell=ell, gamma=gamma, mu=mu)
 
 
 def rsh_params(n: int, m: int, alpha: float, eps: float,
@@ -182,11 +174,10 @@ def rsh_params(n: int, m: int, alpha: float, eps: float,
     _check_common(n, m, alpha, eps)
     ell = math.ceil(math.log2(n) + 2.0 * math.log2(2.0 / eps))
     t_req = 2 * ell
-    s = -(-n // ell)
     k = 4.0 * math.log2(1.0 / eps) + 6.0 + r_kind.real * m
     return ExtractorParams(
         family="rsh", n=n, m=m, alpha=alpha, eps=eps, r_kind=r_kind,
-        k=k, t_req=t_req, ell=ell, feasible=(k <= alpha * n and m >= 1), s=s)
+        k=k, t_req=t_req, ell=ell)
 
 
 def lu_params(n: int, m: int, alpha: float, nu: float, eps: float,
@@ -215,8 +206,7 @@ def lu_params(n: int, m: int, alpha: float, nu: float, eps: float,
          + 6.0 * math.log2((2.0 + math.sqrt(2.0)) / eps) - 2.0 + r_kind.real * m)
     return ExtractorParams(
         family="lu", n=n, m=m, alpha=alpha, eps=eps, r_kind=r_kind,
-        k=k, t_req=t_req, ell=ell, feasible=(k <= alpha * n and m >= 1),
-        nu=nu, c=c)
+        k=k, t_req=t_req, ell=ell, nu=nu, c=c)
 
 
 def max_output_len(family: str, n: int, alpha: float, eps: float,

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -276,7 +278,7 @@ def design_save(design, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
@@ -288,10 +290,17 @@ class _Reader:
         self.pos += size
         return vals
 
+    def row(self, t: int) -> array:
+        """The next t u32 values, kept packed."""
+        row = array("I", self.take(f"{4 * t}s")[0])
+        if sys.byteorder == "big":
+            row.byteswap()
+        return row
+
 
 def design_load(path):
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())
     if len(data) < len(_MAGIC) + 1 + 24 + 4:
         raise DesignFormatError("file too short for a design cache")
     if data[:4] != _MAGIC:
@@ -308,19 +317,20 @@ def design_load(path):
         raise DesignFormatError(f"unknown variant tag {variant_tag}") from exc
     t_act, m, d = rd.take("<QQQ")
     if variant.is_block:
-        (n_blocks,) = rd.take("<Q")
-        m_list = list(rd.take(f"<{n_blocks}Q"))
-        if sum(m_list) != m:
-            raise DesignFormatError("block sizes do not sum to m")
-        if d != n_blocks * t_act * t_act:
-            raise DesignFormatError("d inconsistent with block count")
-        (n_rows,) = rd.take("<Q")
-        rows = [list(rd.take(f"<{t_act}I")) for _ in range(n_rows)]
+        try:
+            m_list = block_partition(m, t_act).m_list
+        except DesignError as exc:
+            raise DesignFormatError(f"no block design has {t_act=}, {m=}") from exc
+        # block count, block sizes and shared row count, as (m, t) give them
+        want = [len(m_list), *m_list, max(m_list)]
+        if list(rd.take(f"<{len(want)}Q")) != want or d != want[0] * t_act * t_act:
+            raise DesignFormatError("block header is not the partition of (m, t)")
+        rows = [rd.row(t_act) for _ in range(want[-1])]
         design = LoadedBlockDesign(variant, t_act, m, d, m_list, rows)
     else:
         if d != t_act * t_act:
             raise DesignFormatError("d inconsistent with t_act")
-        rows = [list(rd.take(f"<{t_act}I")) for _ in range(m)]
+        rows = [rd.row(t_act) for _ in range(m)]
         design = LoadedBasicDesign(variant, t_act, m, d, rows)
     if rd.pos != len(rd.data):
         raise DesignFormatError("trailing bytes in design cache file")

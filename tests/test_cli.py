@@ -57,6 +57,13 @@ class TestDryRun:
         run(RSH_ARGS + ["--dry-run"])
         assert set(tmp_path.iterdir()) == before
 
+    def test_block_sizing_error_exits_infeasible(self, capsys):
+        # m = 3 < 2e admits no block partition: a parameter error, not I/O
+        assert run(["--bitext", "rsh", "-n", "64", "--alpha", "0.9",
+                    "--eps", "0.5", "--design", "block-gfp", "-m", "3",
+                    "--dry-run"]) == 2
+        assert "infeasible parameters" in capsys.readouterr().err
+
     def test_unsolvable_nu_exits_infeasible(self, capsys):
         # 1 - nu rounds to 1.0, so the walk-length equation has no root
         assert run(["--bitext", "lu", "-n", "4096", "--alpha", "0.9",
@@ -187,6 +194,26 @@ class TestExtract:
                            "--output", str(out), "--load-design", str(cache)])
         assert code == 4
         assert "m=256" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cached_design_of_larger_t_rejected(self, tmp_path, capsys):
+        # eps = 1e-4 sizes t_act = 83 (d = 6889); this run's design has
+        # t_act = 59 (d = 3481), which is what its dry-run reports.
+        inp, sd = self._files(tmp_path, 512, 2048)
+        cache = tmp_path / "design.twd"
+        out = tmp_path / "out.bin"
+        big = ["--bitext", "rsh", "-n", "4096", "--alpha", "0.9",
+               "--eps", "0.0001", "-m", "64"]
+        assert run(big + ["--gen-design", "--save-design", str(cache)]) == 0
+        assert parse_report(capsys)["t_act"] == "83"
+        assert run(RSH_ARGS + ["-m", "64", "--dry-run"]) == 0
+        assert parse_report(capsys)["t_act"] == "59"
+        code = run(RSH_ARGS + ["-m", "64", "--input", str(inp),
+                               "--seed", str(sd), "--output", str(out),
+                               "--load-design", str(cache)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "--design" in err and "m=" in err
         assert not out.exists()
 
     def test_cached_basic_design_prefix_matches_fresh_design(self, tmp_path):

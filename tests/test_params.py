@@ -115,7 +115,6 @@ class TestRshParams:
     def test_reference_values(self):
         p = rsh_params(10 ** 6, 1000, 0.5, 1e-7)
         assert p.ell == 69
-        assert p.s == 14493
         assert p.k == pytest.approx(5535.577643574937, rel=1e-12)
 
 

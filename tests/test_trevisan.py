@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import random
 import sys
@@ -270,3 +271,37 @@ class TestExtractAll:
             if abs(monobit(extract_all(job))) >= 5.0:
                 bad += 1
         assert bad == 0
+
+
+# SHA-256 of the 40 output bits of one fixed job per (family, variant).
+# Any change to a design row, the gather or an extractor changes a digest.
+PINNED_OUTPUTS = {
+    ("xor", "gfp"): "0cc5ca26d3fed2a6c91aef4a4fa1c4660c4af9fa2644da58d68a3609dad96b62",
+    ("xor", "gf2x"): "a0b7721ee858a5f419ba037ad76e9d6d3eb731d6da32b916c9110b8254ae2e22",
+    ("xor", "block-gfp"): "21d497ac44307fb2c33627bb1064649f95bda2f386e01da310be079de5da8f6b",
+    ("xor", "block-gf2x"): "dfa1e4161fbbd5c449ca2fa2880e216129c87f8a688f33a79a971a96588eff8e",
+    ("rsh", "gfp"): "7f63a9c75820f6e0c74357a88d5f47b9f5940f869c52b209685f8e13b9a6ec89",
+    ("rsh", "gf2x"): "ef08d3bfbbd7d14655c7003e1049e3a47d631edfe66ab7f187f1a7da5bec1530",
+    ("rsh", "block-gfp"): "9a9c7ad8c8439ee307ecdc0c15b1ea7fa48de61d74f8154813f03dbb94905a44",
+    ("rsh", "block-gf2x"): "0016ee99c208ed6958ba62b6817f3af50cc4070100270a939d7274e3c9bc964f",
+    ("lu", "gfp"): "875b6be1bdf488d4540d59bad31b81c355dcf95ea77bbe0ffabc1b6ce6541369",
+    ("lu", "gf2x"): "90190b21559c346c0da97d3c9f142f24caea195a3b1f96ff31462e402d3c6b26",
+    ("lu", "block-gfp"): "4f5415ebde55e4f826a582faed03d84da54d668b1aef1c7f8b66c069c56a6138",
+    ("lu", "block-gf2x"): "6497cef7ea52c349c2682afcd41c99d8c88551ddc90d2fef46d97b271ec187da",
+}
+
+
+@pytest.mark.parametrize("family, variant", list(PINNED_OUTPUTS),
+                         ids=lambda v: v)
+def test_output_digests_pinned(family, variant):
+    ext = {"xor": lambda: XorExtractor(1000, 5),
+           "rsh": lambda: RshExtractor(1000, 16),
+           "lu": lambda: LuExtractor(1000, 2, 4)}[family]()
+    rng = random.Random(f"{family}/{variant}")
+    design = make_design(DesignVariant[variant.upper().replace("-", "_")],
+                         max(ext.t_req, 7), 40)
+    job = ExtractionJob(input=rand_buf(rng, 1000),
+                        seed=rand_buf(rng, design.d), design=design,
+                        extractor=ext, m=40)
+    digest = hashlib.sha256(extract_all(job).to_bytes()).hexdigest()
+    assert digest == PINNED_OUTPUTS[family, variant]

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -231,6 +234,60 @@ class TestDiskCache:
         path.write_bytes(b"NOPE" + bytes(40))
         with pytest.raises(DesignFormatError):
             design_load(path)
+
+    def test_tampered_block_sizes_rejected(self, tmp_path):
+        # The rsh -n 4096 --eps 0.01 -m 64 block design: t = 59, sizes
+        # [11, 53].  Swapped sizes still sum to m and keep d, so only the
+        # partition check can tell.
+        design = make_design(DesignVariant.BLOCK_GFP, 56, 64)
+        assert design.partition.m_list == [11, 53]
+        path = tmp_path / "design.twd"
+        design_save(design, path)
+        data = bytearray(path.read_bytes())
+        sizes = 4 + 1 + 24 + 8  # magic, variant, (t, m, d), block count
+        first, second = data[sizes:sizes + 8], data[sizes + 8:sizes + 16]
+        data[sizes:sizes + 16] = second + first
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+        path.write_bytes(bytes(data))
+        with pytest.raises(DesignFormatError):
+            design_load(path)
+
+    def test_short_block_row_count_rejected(self, tmp_path):
+        # One shared row fewer, with its bytes and the CRC to match: the
+        # last row of the largest block would have nothing to read.
+        design = make_design(DesignVariant.BLOCK_GFP, 56, 64)
+        path = tmp_path / "design.twd"
+        design_save(design, path)
+        data = path.read_bytes()[:-4]
+        at = 4 + 1 + 24 + 8 + 16  # magic, variant, (t, m, d), count, sizes
+        out = (data[:at] + struct.pack("<Q", 52)
+               + data[at + 8:at + 8 + 4 * 59 * 52])
+        path.write_bytes(out + struct.pack("<I", zlib.crc32(out)))
+        with pytest.raises(DesignFormatError):
+            design_load(path)
+
+    def test_header_without_block_design_rejected(self, tmp_path):
+        # t = 5 <= 2e admits no block partition, whatever the sizes say.
+        out = bytearray(b"TWD1")
+        out += struct.pack("<BQQQ", DesignVariant.BLOCK_GFP.value, 5, 20, 50)
+        out += struct.pack("<QQQ", 2, 10, 10)
+        out += struct.pack("<Q", 10) + bytes(4 * 5 * 10)
+        out += struct.pack("<I", zlib.crc32(bytes(out)))
+        path = tmp_path / "design.twd"
+        path.write_bytes(bytes(out))
+        with pytest.raises(DesignFormatError):
+            design_load(path)
+
+    @pytest.mark.parametrize("variant, digest", [
+        (DesignVariant.GFP,
+         "2e25ec6dc15a4c4f395b0df51cd48797fa988a7b05895ae60a70069ea8332caf"),
+        (DesignVariant.BLOCK_GFP,
+         "9b2467ae425edd0661c17d835d489dec4cff07f82951e1a19fdff827af7f3b29"),
+    ], ids=["gfp", "block-gfp"])
+    def test_saved_bytes_pinned(self, variant, digest, tmp_path):
+        path = tmp_path / "design.twd"
+        design_save(make_design(variant, 11, 32), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_block_cache_smaller_than_explicit_dump(self, tmp_path):
         design = make_design(DesignVariant.BLOCK_GFP, 7, 100)
