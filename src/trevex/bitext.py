@@ -3,11 +3,13 @@
 construction.
 
 All three share one contract.  ``t_req`` is the subseed length consumed per
-output bit.  ``prepare(input)`` parses a BitBuffer once into an immutable
+output bit; each extractor is its only owner, and the CLI sizes the design
+from it.  ``prepare(input)`` parses a BitBuffer once into an immutable
 value (XOR and LU: its bytes; RSH: its polynomial coefficients), and
 ``extract(prepared, subseed)`` returns one bit, reading the subseed as an
 int whose bit j is subseed bit j.  Instances are immutable after
-configuration and reentrant.
+configuration and reentrant.  A constructor raises InfeasibleParameters
+for a parameter set that admits no such extractor.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .finfield import find_irreducible
-from .params import ExtractorParams, ceil_log2
+from .params import ExtractorParams, InfeasibleParameters, ceil_log2
 from .trevisan import BitBuffer
 
 
@@ -29,7 +31,7 @@ class XorExtractor:
 
     def __init__(self, n: int, ell: int):
         if ell < 1:
-            raise ValueError("ell must be >= 1")
+            raise InfeasibleParameters("ell must be >= 1")
         self.n = n
         self.ell = ell
         self.idx_width = ceil_log2(n)
@@ -69,7 +71,7 @@ class RshExtractor:
 
     def __init__(self, n: int, l: int):
         if not 1 <= l <= 64:
-            raise ValueError(f"block size l={l} outside [1, 64]")
+            raise InfeasibleParameters(f"RSH block size l={l} outside [1, 64]")
         self.n = n
         self.l = l
         self.s = -(-n // l)
@@ -136,13 +138,10 @@ class LuExtractor:
 
     def __init__(self, n: int, c: int, ell: int):
         if c < 1 or ell < 1:
-            raise ValueError("c and ell must be >= 1")
+            raise InfeasibleParameters("c and ell must be >= 1")
         self.n = n
-        side = math.isqrt(n)
-        if side * side < n:
-            side += 1
-        self.side = side
-        self.n_v = side * side
+        self.side = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+        self.n_v = self.side * self.side
         self.c = c
         self.ell = ell
         self.idx_width = ceil_log2(self.n_v)

@@ -13,9 +13,9 @@ import sys
 import time
 
 from . import bitext, params, verify, weakdesign
-from .params import InfeasibleParameters, RKind
+from .params import InfeasibleParameters
 from .trevisan import BitBuffer, ExtractionJob, extract_all
-from .weakdesign import DesignError, DesignFormatError, DesignVariant
+from .weakdesign import DesignFormatError, DesignVariant
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,34 +70,34 @@ def build_parser() -> _Parser:
     return p
 
 
-def _derive(args) -> tuple[params.ExtractorParams, int, int]:
-    """The run's extractor parameters and its design's sizing (t_act, d)."""
-    for name in ("bitext", "n", "alpha", "eps"):
-        if getattr(args, name) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required" if name != "n"
-                             else "-n is required")
+def _derive(args):
+    """The run's parameters, its one-bit extractor, which owns t_req, and
+    its design's sizing (t_act, d): (p, extractor, t_act, d)."""
+    for flag in ("--bitext", "-n", "--alpha", "--eps"):
+        if getattr(args, flag.lstrip("-")) is None:
+            raise UsageError(f"{flag} is required")
     if args.bitext == "xor" and args.mu is None:
         raise UsageError("--mu is required for the xor extractor")
     if args.bitext == "lu" and args.nu is None:
         raise UsageError("--nu is required for the lu extractor")
     variant = _VARIANTS[args.design]
-    r_kind = RKind.ONE if variant.is_block else RKind.TWO_E
     m = args.m
     if m is None:
         m = params.max_output_len(args.bitext, args.n, args.alpha, args.eps,
-                                  r_kind, mu=args.mu, nu=args.nu)
+                                  variant.r_kind, mu=args.mu, nu=args.nu)
     p = params.derive_params(args.bitext, args.n, m, args.alpha, args.eps,
-                             r_kind, mu=args.mu, nu=args.nu)
-    return (p, *weakdesign.design_d(variant, p.t_req, m))
+                             variant.r_kind, mu=args.mu, nu=args.nu)
+    extractor = bitext.from_params(p)
+    return (p, extractor, *weakdesign.design_d(variant, extractor.t_req, m))
 
 
 def run_dry(args) -> int:
-    p, t_act, d = _derive(args)
+    p, extractor, t_act, d = _derive(args)
     print(f"n={p.n}")
     print(f"m={p.m}")
     print(f"gamma={p.gamma if p.gamma is not None else 0.0}")
     print(f"ell={p.ell}")
-    print(f"t_req={p.t_req}")
+    print(f"t_req={extractor.t_req}")
     print(f"t_act={t_act}")
     print(f"d={d}")
     print(f"k={p.k}")
@@ -121,26 +121,26 @@ class InsufficientData(Exception):
     pass
 
 
-def _design_for(args, p: params.ExtractorParams, t_act: int):
+def _design_for(args, m: int, t_req: int, t_act: int):
     """The design the run sizes, or a cache of that design: its variant
     (k used its r) and t_act (the seed is sized by it), and its m for block
     rows, which depend on m; a basic cache may be larger, since a prefix of
     basic rows keeps the overlap bound."""
     variant = _VARIANTS[args.design]
     if not args.load_design:
-        return weakdesign.make_design(variant, p.t_req, p.m)
+        return weakdesign.make_design(variant, t_req, m)
     design = weakdesign.design_load(args.load_design)
     if (design.variant is not variant or design.t_act != t_act
-            or (design.m != p.m if variant.is_block else design.m < p.m)):
+            or (design.m != m if variant.is_block else design.m < m)):
         raise DesignFormatError(
             f"cached design ({design.variant.name}, t_act={design.t_act}, "
             f"m={design.m}) is not the design of --design {args.design} "
-            f"for this job (t_act={t_act}, m={p.m})")
+            f"for this job (t_act={t_act}, m={m})")
     return design
 
 
 def run_extract(args) -> int:
-    p, t_act, _ = _derive(args)
+    p, extractor, t_act, _ = _derive(args)
     if not p.feasible:
         print("infeasible parameter set (use --dry-run for the report)",
               file=sys.stderr)
@@ -148,10 +148,9 @@ def run_extract(args) -> int:
     for name in ("input", "seed", "output"):
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required for extraction")
-    design = _design_for(args, p, t_act)
+    design = _design_for(args, p.m, extractor.t_req, t_act)
     input_buf = _read_bits(args.input, p.n, "input")
     seed_buf = _read_bits(args.seed, design.d, "seed")
-    extractor = bitext.from_params(p)
     job = ExtractionJob(input=input_buf, seed=seed_buf, design=design,
                         extractor=extractor, m=p.m, workers=args.threads)
     start = time.perf_counter()
@@ -171,8 +170,8 @@ def run_extract(args) -> int:
 def run_gen_design(args) -> int:
     if args.save_design is None:
         raise UsageError("--gen-design needs --save-design")
-    p, _, _ = _derive(args)
-    design = weakdesign.make_design(_VARIANTS[args.design], p.t_req, p.m)
+    p, extractor, _, _ = _derive(args)
+    design = weakdesign.make_design(_VARIANTS[args.design], extractor.t_req, p.m)
     weakdesign.design_save(design, args.save_design)
     print(f"t_act={design.t_act}")
     print(f"m={design.m}")
@@ -221,7 +220,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleParameters, DesignError) as exc:
+    except InfeasibleParameters as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except InsufficientData as exc:

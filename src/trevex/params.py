@@ -1,9 +1,17 @@
-"""Parameter derivation for the extractor families.
+"""Parameter derivation for the extractor families: the entropy budget k
+and the one-bit extractors' free parameters (ell, c).
 
 All entropy quantities are binary64 reals with base-2 logarithms; final bit
 counts are rounded with ceilings.  The overlap parameter r of the weak design
 is kept symbolic (:class:`RKind`) and expanded to a float only inside
 arithmetic.
+
+Each sizing rule has one owner.  This module owns k, ell and c; the
+extractor built from them (``bitext.from_params``) owns its subseed length
+t_req and its geometry; the design variant owns r
+(``weakdesign.DesignVariant.r_kind``) and ``weakdesign.design_d`` owns
+(t_act, d).  A parameter set for which no run exists raises
+:class:`InfeasibleParameters`, whichever module finds it.
 """
 
 from __future__ import annotations
@@ -19,12 +27,8 @@ TWO_E = 2.0 * math.e
 LAMBDA0 = 5.0 * math.sqrt(2.0) / 8.0
 
 
-class InfeasibleParameters(Exception):
-    """Raised when a parameter set violates a hard precondition."""
-
-
-class NoRootError(Exception):
-    """Raised when a bracketing root search cannot find a sign change."""
+class InfeasibleParameters(ValueError):
+    """Raised when a parameter set admits no extractor or no design."""
 
 
 class RKind(Enum):
@@ -85,7 +89,7 @@ def solve_w(nu: float) -> float:
 
     The solution minimizes the total number of expander-walk steps.  f(w) =
     LHS - RHS changes sign on (0, nu); bisection drives the residual below
-    1e-12.
+    1e-12; if it cannot, no walk length exists for this nu.
     """
     if not 0.0 < nu <= 0.5:
         raise ValueError(f"nu={nu} outside (0, 0.5]")
@@ -97,7 +101,7 @@ def solve_w(nu: float) -> float:
     lo = nu * 1e-15
     hi = nu
     if not (f(lo) > 0.0 > f(hi)):
-        raise NoRootError(f"no sign change on (0, {nu})")
+        raise InfeasibleParameters(f"nu={nu} unusable: no sign change on (0, {nu})")
     w = lo
     for _ in range(200):
         w = 0.5 * (lo + hi)
@@ -109,27 +113,23 @@ def solve_w(nu: float) -> float:
         else:
             hi = w
     if abs(f(w)) >= 1e-12:
-        raise NoRootError(f"bisection residual too large for nu={nu}")
+        raise InfeasibleParameters(f"nu={nu} unusable: residual too large")
     return w
 
 
 @dataclass
 class ExtractorParams:
-    """User inputs plus the one-bit extractor's derived quantities.  The
-    design's seed sizing (t_act, d) is ``weakdesign.design_d``'s."""
+    """A run's entropy budget and what ``bitext.from_params`` needs to
+    build its one-bit extractor, which owns t_req."""
 
     family: str                 # "xor" | "rsh" | "lu"
     n: int                      # input length, bits
     m: int                      # output length, bits
     alpha: float                # source min-entropy rate, k_src = alpha*n
-    eps: float                  # error per output bit
     r_kind: RKind
     k: float                    # required source min-entropy, bits
-    t_req: int                  # one-bit extractor seed length, bits
     ell: int                    # XOR sample count / hash length / walk length
     gamma: float | None = None  # XOR only: mu*alpha
-    mu: float | None = None     # XOR only
-    nu: float | None = None     # Lu only
     c: int | None = None        # Lu only: walk sub-steps per remembered vertex
 
     @property
@@ -160,12 +160,11 @@ def xor_params(n: int, m: int, alpha: float, mu: float, eps: float,
         raise InfeasibleParameters(f"binary_entropy_inv({gamma}) not positive")
     ell = math.ceil(2.0 * math.log(2.0) / hinv
                     * math.log2((2.0 + math.sqrt(2.0)) / eps))
-    t_req = ell * ceil_log2(n)
     k = (gamma * n + 6.0 * math.log2((1.0 + math.sqrt(2.0)) / eps)
          + math.log2(4.0 / 3.0) + r_kind.real * m)
     return ExtractorParams(
-        family="xor", n=n, m=m, alpha=alpha, eps=eps, r_kind=r_kind,
-        k=k, t_req=t_req, ell=ell, gamma=gamma, mu=mu)
+        family="xor", n=n, m=m, alpha=alpha, r_kind=r_kind, k=k, ell=ell,
+        gamma=gamma)
 
 
 def rsh_params(n: int, m: int, alpha: float, eps: float,
@@ -173,11 +172,9 @@ def rsh_params(n: int, m: int, alpha: float, eps: float,
     """Parameters of the polynomial-hashing one-bit extractor."""
     _check_common(n, m, alpha, eps)
     ell = math.ceil(math.log2(n) + 2.0 * math.log2(2.0 / eps))
-    t_req = 2 * ell
     k = 4.0 * math.log2(1.0 / eps) + 6.0 + r_kind.real * m
     return ExtractorParams(
-        family="rsh", n=n, m=m, alpha=alpha, eps=eps, r_kind=r_kind,
-        k=k, t_req=t_req, ell=ell)
+        family="rsh", n=n, m=m, alpha=alpha, r_kind=r_kind, k=k, ell=ell)
 
 
 def lu_params(n: int, m: int, alpha: float, nu: float, eps: float,
@@ -187,26 +184,17 @@ def lu_params(n: int, m: int, alpha: float, nu: float, eps: float,
     if not 0.0 < nu <= 0.5:
         raise InfeasibleParameters(f"nu={nu} outside (0, 0.5]")
     delta = (eps / (2.0 + math.sqrt(2.0))) ** 2
-    try:
-        w = solve_w(nu)
-    except NoRootError as exc:
-        raise InfeasibleParameters(f"nu={nu} unusable: {exc}") from exc
+    w = solve_w(nu)
     c = math.ceil(math.log2(w) / (2.0 * math.log2(LAMBDA0)))
     denom = math.log2(1.0 - nu + w)
     if denom >= 0.0:
         raise InfeasibleParameters(
             f"log2(1 - nu + w) = {denom} not negative; nu={nu} unusable")
     ell = math.ceil(4.0 * math.log2(delta) / denom)
-    side = math.isqrt(n)
-    if side * side < n:
-        side += 1
-    n_v = side * side
-    t_req = ceil_log2(n_v) + 3 * c * (ell - 1) + ell
     k = (binary_entropy(nu) * n
          + 6.0 * math.log2((2.0 + math.sqrt(2.0)) / eps) - 2.0 + r_kind.real * m)
     return ExtractorParams(
-        family="lu", n=n, m=m, alpha=alpha, eps=eps, r_kind=r_kind,
-        k=k, t_req=t_req, ell=ell, nu=nu, c=c)
+        family="lu", n=n, m=m, alpha=alpha, r_kind=r_kind, k=k, ell=ell, c=c)
 
 
 def max_output_len(family: str, n: int, alpha: float, eps: float,

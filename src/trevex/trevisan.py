@@ -24,7 +24,8 @@ class InsufficientSeedError(Exception):
 class BitBuffer:
     """Packed bit string.  Global bit g lives at byte g//8, bit position
     g%8, least-significant-bit first; multi-bit reads assemble LSB-first.
-    Byte-backed so single-bit access is O(1) even for multi-megabit data."""
+    Byte-backed so single-bit access is O(1) even for multi-megabit data.
+    Mutable, and therefore unhashable."""
 
     __slots__ = ("len_bits", "_buf")
 
@@ -57,9 +58,6 @@ class BitBuffer:
         return (isinstance(other, BitBuffer)
                 and self.len_bits == other.len_bits
                 and self._buf == other._buf)
-
-    def __hash__(self):
-        return hash((self.len_bits, bytes(self._buf)))
 
     def __xor__(self, other: "BitBuffer") -> "BitBuffer":
         if len(other) != self.len_bits:

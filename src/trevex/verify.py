@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finfield import BinaryField, PrimeField
-from .params import RKind
 from .trevisan import BitBuffer, ExtractionJob
 from .weakdesign import BasicDesign, BlockDesign
 
@@ -66,7 +65,7 @@ def overlap_check(design) -> OverlapReport:
         if total > worst_sum:
             worst_sum = total
             worst_row = i
-    if design.r_kind is RKind.ONE:
+    if design.variant.is_block:
         num, den = m, 1
     else:
         num, den = TWO_E_NUM * m, TWO_E_DEN

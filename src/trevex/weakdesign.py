@@ -9,6 +9,12 @@ Two constructions are provided:
 * the block design that places several basic designs on a diagonal
   (d = (ell+1) * t**2, overlap r = 1).
 
+The variant owns r (:attr:`DesignVariant.r_kind`).  :func:`design_d` sizes
+(t_act, d) from the variant, the extractor's t_req and m before any design
+is built; the CLI reports that sizing and ``design_load`` checks a cache
+header against it.  Parameters that admit no design raise
+``params.InfeasibleParameters``.
+
 The pair-to-index map is (x, p(x)) -> x*t + p(x), fixed for reproducibility.
 """
 
@@ -23,13 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .finfield import BinaryField, field_for_order, next_prime
-from .params import TWO_E, RKind, ceil_log2
+from .params import TWO_E, InfeasibleParameters, RKind, ceil_log2
 
 MAX_SEED_BITS = 1 << 61
-
-
-class DesignError(Exception):
-    """Invalid design parameters."""
 
 
 class DesignFormatError(Exception):
@@ -50,11 +52,16 @@ class DesignVariant(Enum):
     def is_gf2x(self) -> bool:
         return self in (DesignVariant.GF2X, DesignVariant.BLOCK_GF2X)
 
+    @property
+    def r_kind(self) -> RKind:
+        """The overlap r the variant guarantees, which k is charged."""
+        return RKind.ONE if self.is_block else RKind.TWO_E
+
 
 def round_t(variant: DesignVariant, t_req: int) -> int:
     """Smallest t the variant can provide with t >= t_req."""
     if t_req < 2:
-        raise DesignError(f"t_req={t_req} must be >= 2")
+        raise InfeasibleParameters(f"t_req={t_req} must be >= 2")
     if variant.is_gf2x:
         return 1 << ceil_log2(t_req)
     return next_prime(t_req)
@@ -72,11 +79,9 @@ class BasicDesign:
     """Polynomial weak design: S_i = {x*t + p_i(x)} with p_i the i-th
     polynomial over the order-t field in coefficient counting order."""
 
-    r_kind = RKind.TWO_E
-
     def __init__(self, t: int, m: int):
         if m < 1:
-            raise DesignError(f"m={m} must be >= 1")
+            raise InfeasibleParameters(f"m={m} must be >= 1")
         self.t_act = t
         self.m = m
         self.field = field_for_order(t)
@@ -111,9 +116,9 @@ def block_partition(m: int, t: int) -> BlockPartition:
     """Split m output rows across ell+1 basic designs of set size t."""
     rp = TWO_E
     if t <= 6:
-        raise DesignError(f"t={t} too small for the block design (need t > 2e)")
+        raise InfeasibleParameters(f"t={t} <= 2e admits no block design")
     if m <= rp:
-        raise DesignError(f"m={m} too small for the block design (need m > 2e)")
+        raise InfeasibleParameters(f"m={m} <= 2e admits no block design")
     ell = max(1, math.ceil((math.log2(m - rp) - math.log2(t - rp))
                            / (math.log2(rp) - math.log2(rp - 1.0))))
     m_list = []
@@ -127,9 +132,9 @@ def block_partition(m: int, t: int) -> BlockPartition:
     m_last = m - acc_m
     m_list.append(m_last)
     if any(mi < 0 for mi in m_list):
-        raise DesignError(f"negative block size in partition of (m={m}, t={t})")
+        raise InfeasibleParameters(f"negative block size for (m={m}, t={t})")
     if m_last > t:
-        raise DesignError(f"last block {m_last} > t={t} for (m={m}, t={t})")
+        raise InfeasibleParameters(f"last block {m_last} > t for (m={m}, t={t})")
     return BlockPartition(ell=ell, m_list=m_list)
 
 
@@ -157,8 +162,6 @@ class BlockDesign:
     reuses a prefix of the same basic design, so each basic row is computed
     once and memoised (at most max(m_j) cached rows, bounded by 2e*n_0+1).
     """
-
-    r_kind = RKind.ONE
 
     def __init__(self, t: int, m: int):
         self.partition = block_partition(m, t)
@@ -188,7 +191,7 @@ def design_d(variant: DesignVariant, t_req: int, m: int | None = None) -> tuple[
     t_act = round_t(variant, t_req)
     if variant.is_block:
         if m is None:
-            raise DesignError("block design needs m to size its partition")
+            raise InfeasibleParameters("block design needs m to size its partition")
         part = block_partition(m, t_act)
         d = (part.ell + 1) * t_act * t_act
     else:
@@ -217,8 +220,6 @@ _MAGIC = b"TWD1"
 
 
 class LoadedBasicDesign:
-    r_kind = RKind.TWO_E
-
     def __init__(self, variant, t_act, m, d, rows):
         self.variant = variant
         self.t_act = t_act
@@ -233,8 +234,6 @@ class LoadedBasicDesign:
 
 
 class LoadedBlockDesign:
-    r_kind = RKind.ONE
-
     def __init__(self, variant, t_act, m, d, m_list, basic_rows):
         self.variant = variant
         self.t_act = t_act
@@ -257,7 +256,7 @@ def design_save(design, path) -> None:
     out += _MAGIC
     out += struct.pack("<B", design.variant.value)
     out += struct.pack("<QQQ", design.t_act, design.m, design.d)
-    if design.r_kind is RKind.ONE:
+    if design.variant.is_block:
         m_list = design.partition.m_list
         out += struct.pack("<Q", len(m_list))
         out += struct.pack(f"<{len(m_list)}Q", *m_list)
@@ -316,20 +315,22 @@ def design_load(path):
     except ValueError as exc:
         raise DesignFormatError(f"unknown variant tag {variant_tag}") from exc
     t_act, m, d = rd.take("<QQQ")
+    try:
+        sizing = design_d(variant, t_act, m)
+    except (InfeasibleParameters, OverflowError) as exc:
+        raise DesignFormatError(f"{variant.name} admits no {t_act=}, {m=}") from exc
+    if sizing != (t_act, d):
+        raise DesignFormatError(f"({t_act=}, {d=}) is not the {variant.name} "
+                                f"design's sizing {sizing}")
     if variant.is_block:
-        try:
-            m_list = block_partition(m, t_act).m_list
-        except DesignError as exc:
-            raise DesignFormatError(f"no block design has {t_act=}, {m=}") from exc
+        m_list = block_partition(m, t_act).m_list
         # block count, block sizes and shared row count, as (m, t) give them
         want = [len(m_list), *m_list, max(m_list)]
-        if list(rd.take(f"<{len(want)}Q")) != want or d != want[0] * t_act * t_act:
+        if list(rd.take(f"<{len(want)}Q")) != want:
             raise DesignFormatError("block header is not the partition of (m, t)")
         rows = [rd.row(t_act) for _ in range(want[-1])]
         design = LoadedBlockDesign(variant, t_act, m, d, m_list, rows)
     else:
-        if d != t_act * t_act:
-            raise DesignFormatError("d inconsistent with t_act")
         rows = [rd.row(t_act) for _ in range(m)]
         design = LoadedBasicDesign(variant, t_act, m, d, rows)
     if rd.pos != len(rd.data):

@@ -20,7 +20,7 @@ import pytest
 
 from trevex.finfield import (BinaryField, PrimeField, find_irreducible,
                              next_prime)
-from trevex.bitext import XorExtractor
+from trevex.bitext import XorExtractor, from_params
 from trevex.params import (InfeasibleParameters, RKind, max_output_len,
                            rsh_params, xor_params)
 from trevex.trevisan import BitBuffer, ExtractionJob, extract_all
@@ -101,7 +101,7 @@ def test_criterion_04_xor_design_sizing():
 
 def test_criterion_05_rsh_design_sizing():
     n, eps = 1 << 16, 2.0 ** -16
-    assert rsh_params(n, 64, 0.5, eps).t_req == 100
+    assert from_params(rsh_params(n, 64, 0.5, eps)).t_req == 100
     assert design_d(DesignVariant.GFP, 100) == (101, 10201)
     assert abs(10201 / (10 * 1024) - 1.0) <= 0.01
     m_max = max_output_len("rsh", n, 0.5, eps, RKind.ONE)
@@ -128,7 +128,7 @@ def _xor_break_even(n: int) -> bool:
     p = xor_params(n, m, BREAK_EVEN_ALPHA, BREAK_EVEN_MU, BREAK_EVEN_EPS)
     if not p.feasible:
         return False
-    _, d = design_d(DesignVariant.GFP, p.t_req)
+    _, d = design_d(DesignVariant.GFP, from_params(p).t_req)
     return m >= d
 
 
@@ -283,6 +283,9 @@ def test_criterion_11_throughput():
 @pytest.mark.skipif(os.cpu_count() < 2,
                     reason="parallel speedup not measurable on a single CPU")
 def test_criterion_11_parallel_scaling():
+    """8 workers take at most 0.7 of the 1-worker time.  The runs go in
+    the order 1, 8, 8, 1 workers and each side sums its two runs, so a
+    drift in host speed during the test weighs on both sides alike."""
     rng = random.Random(111)
     m = 1 << 12
     ext = XorExtractor(1 << 24, 64)
@@ -290,13 +293,14 @@ def test_criterion_11_parallel_scaling():
     job = ExtractionJob(input=rand_buf(rng, 1 << 24),
                         seed=rand_buf(rng, design.d),
                         design=design, extractor=ext, m=m, workers=1)
-    start = time.perf_counter()
-    out1 = extract_all(job)
-    t1 = time.perf_counter() - start
-    job.workers = 8
-    start = time.perf_counter()
-    out8 = extract_all(job)
-    t8 = time.perf_counter() - start
-    print(f"n=2^24: 1 worker {t1:.2f} s, 8 workers {t8:.2f} s")
-    assert out1 == out8
+    elapsed = {1: 0.0, 8: 0.0}
+    outs = []
+    for workers in (1, 8, 8, 1):
+        job.workers = workers
+        start = time.perf_counter()
+        outs.append(extract_all(job))
+        elapsed[workers] += time.perf_counter() - start
+    t1, t8 = elapsed[1], elapsed[8]
+    print(f"n=2^24, two runs each: 1 worker {t1:.2f} s, 8 workers {t8:.2f} s")
+    assert all(out == outs[0] for out in outs)
     assert t8 <= 0.7 * t1, f"8-worker time {t8:.2f} s > 0.7 * {t1:.2f} s"

@@ -289,13 +289,13 @@ class TestInterface:
         p = params.xor_params(1 << 10, 16, 0.9, 0.3, 1e-2)
         ext = from_params(p)
         assert isinstance(ext, XorExtractor)
-        assert ext.t_req == p.t_req
+        assert (ext.n, ext.ell) == (p.n, p.ell)
 
     def test_lu_from_params(self):
         p = params.lu_params(1 << 10, 16, 0.9, 0.45, 1e-2)
         ext = from_params(p)
         assert isinstance(ext, LuExtractor)
-        assert ext.t_req == p.t_req
+        assert (ext.n, ext.c, ext.ell) == (p.n, p.c, p.ell)
 
     def test_determinism(self, rng):
         for ext in (XorExtractor(128, 4), RshExtractor(128, 8),

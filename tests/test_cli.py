@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from trevex import cli
+from trevex.bitext import from_params
 from trevex.params import RKind, max_output_len, rsh_params
 from trevex.weakdesign import (DesignVariant, design_load, design_save,
                                make_design)
@@ -35,7 +36,7 @@ class TestDryRun:
         rep = parse_report(capsys)
         p = rsh_params(4096, int(rep["m"]), 0.9, 0.01)
         assert int(rep["n"]) == 4096
-        assert int(rep["t_req"]) == p.t_req
+        assert int(rep["t_req"]) == from_params(p).t_req
         assert float(rep["k"]) == pytest.approx(p.k)
         assert rep["feasible"] == "true"
         assert int(rep["seed_surplus"]) == int(rep["m"]) - int(rep["d"])
@@ -69,6 +70,40 @@ class TestDryRun:
         assert run(["--bitext", "lu", "-n", "4096", "--alpha", "0.9",
                     "--nu", "1e-20", "--eps", "0.01", "--dry-run"]) == 2
         assert "infeasible parameters" in capsys.readouterr().err
+
+
+class TestRshBlockAbove64:
+    """At n = 2^16 and eps = 1e-10 RSH needs blocks of l = 85 bits, past
+    the 64-bit fields it supports: no run exists, so every mode exits 2
+    and writes nothing."""
+
+    ARGS = ["--bitext", "rsh", "-n", "65536", "--alpha", "0.5",
+            "--eps", "1e-10", "-m", "10"]
+
+    def test_dry_run_exits_infeasible(self, capsys):
+        assert run(self.ARGS + ["--dry-run"]) == 2
+        out, err = capsys.readouterr()
+        assert "infeasible parameters" in err
+        assert "feasible=true" not in out
+
+    def test_gen_design_exits_infeasible(self, tmp_path, capsys):
+        cache = tmp_path / "design.twd"
+        assert run(self.ARGS + ["--gen-design", "--save-design",
+                                str(cache)]) == 2
+        assert "infeasible parameters" in capsys.readouterr().err
+        assert not cache.exists()
+
+    def test_extraction_exits_infeasible(self, tmp_path, capsys):
+        rng = random.Random(85)
+        inp, sd = tmp_path / "input.bin", tmp_path / "seed.bin"
+        inp.write_bytes(rng.randbytes(8192))
+        sd.write_bytes(rng.randbytes(4096))  # the l = 85 design's d = 29929
+        out, cache = tmp_path / "out.bin", tmp_path / "design.twd"
+        assert run(self.ARGS + ["--input", str(inp), "--seed", str(sd),
+                                "--output", str(out),
+                                "--save-design", str(cache)]) == 2
+        assert "infeasible parameters" in capsys.readouterr().err
+        assert not out.exists() and not cache.exists()
 
 
 class TestUsageErrors:

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trevex import params
-from trevex.params import (InfeasibleParameters, NoRootError, RKind,
+from trevex.bitext import from_params
+from trevex.params import (InfeasibleParameters, RKind,
                            binary_entropy, binary_entropy_inv, ceil_log2,
                            derive_params, lu_params, max_output_len,
                            rsh_params, solve_w, xor_params)
@@ -82,7 +83,7 @@ class TestXorParams:
         p = xor_params(1 << 16, 1 << 10, 0.9, 0.05, 1e-3)
         assert p.gamma == pytest.approx(0.045)
         assert p.ell == 3290
-        assert p.t_req == 52640
+        assert from_params(p).t_req == 52640
         assert p.k == pytest.approx(8584.000247710357, rel=1e-12)
         assert p.feasible
 
@@ -92,7 +93,7 @@ class TestXorParams:
 
     def test_t_req_is_ell_times_index_width(self):
         p = xor_params(1000, 16, 0.9, 0.3, 1e-2)
-        assert p.t_req == p.ell * ceil_log2(1000)
+        assert from_params(p).t_req == p.ell * ceil_log2(1000)
 
     def test_break_even_config_feasible(self):
         # Near the break-even regime the derivation itself stays feasible;
@@ -105,12 +106,12 @@ class TestRshParams:
     def test_small_block_sizing(self):
         p = rsh_params(1 << 16, 64, 0.5, 2.0 ** -16)
         assert p.ell == 50
-        assert p.t_req == 100
+        assert from_params(p).t_req == 100
 
     def test_tiny_instance(self):
         p = rsh_params(2, 1, 0.9, 0.5)
         assert p.ell == 5
-        assert p.t_req == 10
+        assert from_params(p).t_req == 10
 
     def test_reference_values(self):
         p = rsh_params(10 ** 6, 1000, 0.5, 1e-7)
@@ -123,7 +124,7 @@ class TestLuParams:
         p = lu_params(1 << 20, 16, 0.5, 0.3, 1e-4)
         assert p.c == 11
         assert p.ell == 330
-        assert p.t_req == 11207
+        assert from_params(p).t_req == 11207
 
     def test_walk_steps_grow_as_nu_shrinks(self):
         steps = []
@@ -136,7 +137,7 @@ class TestLuParams:
         # Either an explicit error or a finite, huge report; never overflow.
         try:
             p = lu_params(1 << 16, 16, 0.9, 1e-9, 1e-3)
-        except (InfeasibleParameters, NoRootError):
+        except InfeasibleParameters:
             return
         assert math.isfinite(p.k)
         assert p.ell >= 1

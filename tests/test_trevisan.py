@@ -49,6 +49,12 @@ class TestBitBuffer:
         b.set_bit(13, 0)
         assert b.ones() == 0
 
+    def test_unhashable(self):
+        # A hash taken before set_bit would go stale, losing the buffer in
+        # any set or dict that holds it.
+        with pytest.raises(TypeError):
+            hash(BitBuffer(8))
+
     def test_xor_and_eq(self):
         a = BitBuffer(12, 0b101010101010)
         z = BitBuffer(12)

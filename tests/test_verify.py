@@ -1,10 +1,9 @@
 import pytest
 
-from trevex.params import RKind
 from trevex.trevisan import BitBuffer, ExtractionJob, extract_all
 from trevex.verify import (BudgetExceededError, monobit, naive_extract,
                            overlap_check)
-from trevex.weakdesign import BasicDesign, BlockDesign
+from trevex.weakdesign import BasicDesign, BlockDesign, DesignVariant
 
 from conftest import FAMILIES, rand_buf, rand_job
 
@@ -12,12 +11,12 @@ from conftest import FAMILIES, rand_buf, rand_job
 class FakeDesign:
     """Minimal design stub for forcing known overlap sums."""
 
-    def __init__(self, rows, r_kind=RKind.ONE):
+    def __init__(self, rows, variant=DesignVariant.BLOCK_GFP):
         self.rows = rows
         self.t_act = len(rows[0])
         self.m = len(rows)
         self.d = max(max(r) for r in rows) + 1
-        self.r_kind = r_kind
+        self.variant = variant
 
     def compute_Si(self, i):
         return list(self.rows[i])

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trevex.finfield import next_prime
-from trevex.params import TWO_E, RKind
-from trevex.weakdesign import (BasicDesign, BlockDesign, DesignError,
-                               DesignFormatError, DesignVariant,
+from trevex.params import TWO_E, InfeasibleParameters, RKind
+from trevex.weakdesign import (BasicDesign, BlockDesign, DesignFormatError, DesignVariant,
                                block_partition, degree_bound, design_d,
                                design_load, design_save, make_design, round_t)
 
@@ -23,7 +22,7 @@ class TestRounding:
         assert round_t(DesignVariant.BLOCK_GFP, 7) == 7
 
     def test_round_t_too_small(self):
-        with pytest.raises(DesignError):
+        with pytest.raises(InfeasibleParameters):
             round_t(DesignVariant.GFP, 1)
 
     def test_degree_bound(self):
@@ -79,11 +78,11 @@ class TestBlockPartition:
         assert len(p.m_list) == p.ell + 1
 
     def test_small_t_rejected(self):
-        with pytest.raises(DesignError):
+        with pytest.raises(InfeasibleParameters):
             block_partition(100, 6)
 
     def test_small_m_rejected(self):
-        with pytest.raises(DesignError):
+        with pytest.raises(InfeasibleParameters):
             block_partition(5, 11)
 
     def test_random_partitions(self, rng):
@@ -150,7 +149,7 @@ class TestDesignD:
         assert d == (part.ell + 1) * 49
 
     def test_block_needs_m(self):
-        with pytest.raises(DesignError):
+        with pytest.raises(InfeasibleParameters):
             design_d(DesignVariant.BLOCK_GFP, 7)
 
     def test_overflow_guard(self):
@@ -169,8 +168,9 @@ class TestMakeDesign:
         assert b.t_act == 8
 
     def test_r_kind(self):
-        assert make_design(DesignVariant.GFP, 10, 8).r_kind is RKind.TWO_E
-        assert make_design(DesignVariant.BLOCK_GFP, 7, 20).r_kind is RKind.ONE
+        assert make_design(DesignVariant.GFP, 10, 8).variant.r_kind is RKind.TWO_E
+        assert (make_design(DesignVariant.BLOCK_GFP, 7, 20).variant.r_kind
+                is RKind.ONE)
 
 
 class TestDiskCache:
@@ -183,7 +183,7 @@ class TestDiskCache:
         assert loaded.t_act == design.t_act
         assert loaded.m == design.m
         assert loaded.d == design.d
-        assert loaded.r_kind is design.r_kind
+        assert loaded.variant is design.variant
         for i in range(20):
             assert loaded.compute_Si(i) == design.compute_Si(i)
 
@@ -275,6 +275,18 @@ class TestDiskCache:
         out += struct.pack("<I", zlib.crc32(bytes(out)))
         path = tmp_path / "design.twd"
         path.write_bytes(bytes(out))
+        with pytest.raises(DesignFormatError):
+            design_load(path)
+
+    def test_cache_retagged_to_other_field_rejected(self, tmp_path):
+        # GF(8) rows under the GFP tag, CRC recomputed: 8 is not prime, so
+        # no gfp design has t = 8, though d = t**2 still holds.
+        path = tmp_path / "design.twd"
+        design_save(make_design(DesignVariant.GF2X, 8, 20), path)
+        data = bytearray(path.read_bytes())
+        data[4] = DesignVariant.GFP.value
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+        path.write_bytes(bytes(data))
         with pytest.raises(DesignFormatError):
             design_load(path)
 
