@@ -139,12 +139,18 @@ def _design_for(args, m: int, t_req: int, t_act: int):
     return design
 
 
+def _derive_feasible(args):
+    """_derive for a run that builds a design: a parameter set the dry-run
+    reports infeasible is refused before anything is written."""
+    derived = _derive(args)
+    if not derived[0].feasible:
+        raise InfeasibleParameters(
+            "feasible=false (use --dry-run for the report)")
+    return derived
+
+
 def run_extract(args) -> int:
-    p, extractor, t_act, _ = _derive(args)
-    if not p.feasible:
-        print("infeasible parameter set (use --dry-run for the report)",
-              file=sys.stderr)
-        return EXIT_INFEASIBLE
+    p, extractor, t_act, _ = _derive_feasible(args)
     for name in ("input", "seed", "output"):
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required for extraction")
@@ -170,7 +176,7 @@ def run_extract(args) -> int:
 def run_gen_design(args) -> int:
     if args.save_design is None:
         raise UsageError("--gen-design needs --save-design")
-    p, extractor, _, _ = _derive(args)
+    p, extractor, _, _ = _derive_feasible(args)
     design = weakdesign.make_design(_VARIANTS[args.design], extractor.t_req, p.m)
     weakdesign.design_save(design, args.save_design)
     print(f"t_act={design.t_act}")

@@ -62,7 +62,9 @@ def next_prime(t: int) -> int:
 @dataclass(frozen=True)
 class PrimeField:
     """GF(p).  Multiplication of Python ints is exact, so the 61-bit limit
-    only mirrors the contract that elements fit machine words downstream."""
+    only mirrors the contract that elements fit machine words downstream.
+    ``eval_all`` evaluates a polynomial at every element at once, which is
+    how a design row is computed."""
 
     p: int
 
@@ -86,6 +88,17 @@ class PrimeField:
         acc = 0
         for c in reversed(coeffs):
             acc = (acc * x + c) % self.p
+        return acc
+
+    def eval_all(self, coeffs) -> list[int]:
+        """[poly_eval(coeffs, x) for x in range(p)], by Horner run across
+        the whole row: one list comprehension per coefficient."""
+        if not coeffs:
+            raise ValueError("coeffs must be non-empty")
+        p = self.p
+        acc = [coeffs[-1] % p] * p
+        for c in reversed(coeffs[:-1]):
+            acc = [(a * x + c) % p for x, a in enumerate(acc)]
         return acc
 
 
@@ -206,6 +219,10 @@ class BinaryField:
         for c in reversed(coeffs):
             acc = self.mul(acc, x) ^ c
         return acc
+
+    def eval_all(self, coeffs) -> list[int]:
+        """[poly_eval(coeffs, x) for x in range(2**l)]."""
+        return [self.poly_eval(coeffs, x) for x in range(self.order)]
 
 
 def field_for_order(t: int):

@@ -94,12 +94,22 @@ class BitBuffer:
         return int.from_bytes(self._buf, "little").bit_count()
 
 
+# Maps the bytes 0 and 1 to the ASCII digits "0" and "1".
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def slice_subseed(seed: BitBuffer, indices) -> int:
-    """Bits of the seed at the given positions, in order, LSB-first."""
-    out = 0
-    for j, idx in enumerate(indices):
-        out |= seed.get_bit(idx) << j
-    return out
+    """Bits of the seed at the given positions, in order, LSB-first.
+
+    The bits are read straight from the seed's bytes and packed by int()
+    from a string of binary digits, last position first."""
+    if not indices:
+        return 0
+    if min(indices) < 0 or max(indices) >= seed.len_bits:
+        raise IndexError(f"subseed position outside [0, {seed.len_bits})")
+    buf = seed._buf
+    bits = bytes([buf[i >> 3] >> (i & 7) & 1 for i in indices])
+    return int(bits[::-1].translate(_ASCII_BITS), 2)
 
 
 @dataclass

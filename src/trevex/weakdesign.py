@@ -27,6 +27,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
 from .finfield import BinaryField, field_for_order, next_prime
 from .params import TWO_E, InfeasibleParameters, RKind, ceil_log2
@@ -96,12 +97,12 @@ class BasicDesign:
         return [(i // t ** j) % t for j in range(self.c + 1)]
 
     def compute_Si(self, i: int) -> list[int]:
+        """x*t + p_i(x) for x = 0..t-1, which is already ascending."""
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
         t = self.t_act
-        coeffs = self.coefficients(i)
-        ev = self.field.poly_eval
-        return sorted(x * t + ev(coeffs, x) for x in range(t))
+        return list(map(add, range(0, t * t, t),
+                        self.field.eval_all(self.coefficients(i))))
 
 
 @dataclass
@@ -188,6 +189,8 @@ class BlockDesign:
 
 def design_d(variant: DesignVariant, t_req: int, m: int | None = None) -> tuple[int, int]:
     """Seed length granted by the design: (t_act, d)."""
+    if t_req * t_req > MAX_SEED_BITS:  # d >= t_req**2; keeps round_t in range
+        raise InfeasibleParameters(f"t_req={t_req} needs a seed past 2**61 bits")
     t_act = round_t(variant, t_req)
     if variant.is_block:
         if m is None:
@@ -197,7 +200,7 @@ def design_d(variant: DesignVariant, t_req: int, m: int | None = None) -> tuple[
     else:
         d = t_act * t_act
     if d > MAX_SEED_BITS:
-        raise OverflowError(f"seed length d={d} exceeds addressable range")
+        raise InfeasibleParameters(f"seed length d={d} exceeds addressable range")
     return t_act, d
 
 
@@ -317,7 +320,7 @@ def design_load(path):
     t_act, m, d = rd.take("<QQQ")
     try:
         sizing = design_d(variant, t_act, m)
-    except (InfeasibleParameters, OverflowError) as exc:
+    except InfeasibleParameters as exc:
         raise DesignFormatError(f"{variant.name} admits no {t_act=}, {m=}") from exc
     if sizing != (t_act, d):
         raise DesignFormatError(f"({t_act=}, {d=}) is not the {variant.name} "

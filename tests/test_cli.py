@@ -71,6 +71,21 @@ class TestDryRun:
                     "--nu", "1e-20", "--eps", "0.01", "--dry-run"]) == 2
         assert "infeasible parameters" in capsys.readouterr().err
 
+    def test_seed_past_addressable_range_exits_infeasible(self, capsys):
+        # eps = 1e-300 asks for t_req of about 3.5e9, so d > 2**61
+        assert run(["--bitext", "xor", "-n", "4096", "--alpha", "0.9",
+                    "--mu", "0.0001", "--eps", "1e-300", "--dry-run"]) == 2
+        assert "infeasible parameters" in capsys.readouterr().err
+
+    def test_gen_design_refuses_infeasible_m(self, tmp_path, capsys):
+        # the dry run reports m = max + 1 infeasible; so must --gen-design
+        want = max_output_len("rsh", 4096, 0.9, 0.01, RKind.TWO_E)
+        cache = tmp_path / "design.twd"
+        assert run(RSH_ARGS + ["-m", str(want + 1), "--gen-design",
+                               "--save-design", str(cache)]) == 2
+        assert "infeasible parameters" in capsys.readouterr().err
+        assert not cache.exists()
+
 
 class TestRshBlockAbove64:
     """At n = 2^16 and eps = 1e-10 RSH needs blocks of l = 85 bits, past

@@ -203,6 +203,33 @@ class TestBinaryField:
             BinaryField(3, 0b111)
 
 
+class TestEvalAll:
+    """A design row evaluates its polynomial at every element at once; that
+    must equal per-point Horner for degrees 0 to 3."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7, 101, 1709]), data=st.data())
+    def test_prime_field_matches_poly_eval(self, p, data):
+        f = PrimeField(p)
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                    max_size=4))
+        assert f.eval_all(coeffs) == [f.poly_eval(coeffs, x) for x in range(p)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.integers(1, 8), data=st.data())
+    def test_binary_field_matches_poly_eval(self, l, data):
+        f = find_irreducible(l)
+        coeffs = data.draw(st.lists(st.integers(0, f.order - 1), min_size=1,
+                                    max_size=4))
+        assert f.eval_all(coeffs) == [f.poly_eval(coeffs, x)
+                                      for x in range(f.order)]
+
+    def test_empty_coeffs(self):
+        for f in (PrimeField(5), find_irreducible(3)):
+            with pytest.raises(ValueError):
+                f.eval_all([])
+
+
 class TestFieldForOrder:
     def test_dispatch(self):
         assert isinstance(field_for_order(101), PrimeField)

@@ -100,6 +100,25 @@ class TestSliceSubseed:
         with pytest.raises(IndexError):
             slice_subseed(BitBuffer(4), [5])
 
+    def test_matches_per_bit_reference(self, rng):
+        seed = rand_buf(rng, 1003)
+        unsorted = [rng.randrange(1003) for _ in range(300)]
+        duplicates = [7, 7, 1002, 0, 7, 1002, 0]
+        for indices in (unsorted, duplicates):
+            want = sum(seed.get_bit(i) << j for j, i in enumerate(indices))
+            assert slice_subseed(seed, indices) == want
+
+    def test_no_indices(self):
+        assert slice_subseed(BitBuffer(8, 0xFF), []) == 0
+
+    @pytest.mark.parametrize("indices", [[-1], [0, 3, 5], [0, 8], [1 << 20]],
+                             ids=["negative", "padding", "past-buffer",
+                                  "far-past-buffer"])
+    def test_position_outside_seed(self, indices):
+        # bit 5 of a 4-bit seed lies in the padding of its one byte
+        with pytest.raises(IndexError):
+            slice_subseed(BitBuffer(4, 0b1111), indices)
+
 
 def _extractors(family: str, n: int):
     """Extractors of one family on n input bits, small enough for the
@@ -311,3 +330,18 @@ def test_output_digests_pinned(family, variant):
                         extractor=ext, m=40)
     digest = hashlib.sha256(extract_all(job).to_bytes()).hexdigest()
     assert digest == PINNED_OUTPUTS[family, variant]
+
+
+def test_degree_two_output_digest_pinned():
+    """The pinned jobs above use degree c <= 1; here t = 7 and m = 60 > 7**2
+    make every row's polynomial quadratic or less, with c = 2."""
+    ext = XorExtractor(64, 1)
+    design = make_design(DesignVariant.GFP, ext.t_req, 60)
+    assert (ext.t_req, design.t_act, design.c) == (6, 7, 2)
+    rng = random.Random("xor/gfp/c2")
+    job = ExtractionJob(input=rand_buf(rng, 64),
+                        seed=rand_buf(rng, design.d), design=design,
+                        extractor=ext, m=60)
+    digest = hashlib.sha256(extract_all(job).to_bytes()).hexdigest()
+    assert digest == ("e865625adc33a69ccb930d2ba1a024d7"
+                      "cd083ade1684d38b8fbb3f938d763dae")

@@ -12,6 +12,7 @@ from trevex.params import TWO_E, InfeasibleParameters, RKind
 from trevex.weakdesign import (BasicDesign, BlockDesign, DesignFormatError, DesignVariant,
                                block_partition, degree_bound, design_d,
                                design_load, design_save, make_design, round_t)
+from trevex.verify import _naive_basic_row
 
 
 class TestRounding:
@@ -54,6 +55,14 @@ class TestBasicDesign:
                 assert row == sorted(row)
                 assert len(set(row)) == t
                 assert 0 <= row[0] and row[-1] < t * t
+
+    @pytest.mark.parametrize("t", [5, 8], ids=["gfp", "gf2x"])
+    @pytest.mark.parametrize("m, c", [(3, 0), (20, 1), (100, 2)])
+    def test_rows_match_naive_oracle(self, t, m, c):
+        d = BasicDesign(t, m)
+        assert d.c == c
+        assert ([d.compute_Si(i) for i in range(m)]
+                == [_naive_basic_row(d, i) for i in range(m)])
 
     def test_purity(self):
         d = BasicDesign(7, 30)
@@ -153,7 +162,7 @@ class TestDesignD:
             design_d(DesignVariant.BLOCK_GFP, 7)
 
     def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(InfeasibleParameters):
             design_d(DesignVariant.GF2X, 1 << 31)
 
 
@@ -272,6 +281,17 @@ class TestDiskCache:
         out += struct.pack("<BQQQ", DesignVariant.BLOCK_GFP.value, 5, 20, 50)
         out += struct.pack("<QQQ", 2, 10, 10)
         out += struct.pack("<Q", 10) + bytes(4 * 5 * 10)
+        out += struct.pack("<I", zlib.crc32(bytes(out)))
+        path = tmp_path / "design.twd"
+        path.write_bytes(bytes(out))
+        with pytest.raises(DesignFormatError):
+            design_load(path)
+
+    def test_header_past_seed_range_rejected(self, tmp_path):
+        # t = 2**62 lies past both the 2**61-bit seed range and the primes
+        # a gfp design can round to; the rows are never read.
+        out = bytearray(b"TWD1")
+        out += struct.pack("<BQQQ", DesignVariant.GFP.value, 1 << 62, 1, 1)
         out += struct.pack("<I", zlib.crc32(bytes(out)))
         path = tmp_path / "design.twd"
         path.write_bytes(bytes(out))
