@@ -113,7 +113,8 @@ class RshExtractor:
 
 
 # Neighbor rules of the degree-8 expander on Z_side x Z_side, in fixed edge
-# label order (+ before -).
+# label order (+ before -).  Each is an affine map of Z_side^2; LuExtractor
+# walks by composites of them, which it derives from this table.
 LU_NEIGHBOR_RULES = (
     lambda x, y, s: ((x + 2 * y) % s, y),
     lambda x, y, s: ((x - 2 * y) % s, y),
@@ -126,6 +127,34 @@ LU_NEIGHBOR_RULES = (
 )
 
 
+def _affine(rule, side: int) -> tuple[int, ...]:
+    """(a, b, e, c, d, f) with rule(x, y) = (a*x + b*y + e, c*x + d*y + f)
+    mod side, read off the rule's images of (0, 0), (1, 0) and (0, 1)."""
+    e, f = rule(0, 0, side)
+    (ax, cx), (by, dy) = rule(1, 0, side), rule(0, 1, side)
+    return ((ax - e) % side, (by - e) % side, e,
+            (cx - f) % side, (dy - f) % side, f)
+
+
+def _then(m1, m2, side: int) -> tuple[int, ...]:
+    """The affine map m2 after m1, mod side."""
+    a1, b1, e1, c1, d1, f1 = m1
+    a2, b2, e2, c2, d2, f2 = m2
+    return ((a2 * a1 + b2 * c1) % side, (a2 * b1 + b2 * d1) % side,
+            (a2 * e1 + b2 * f1 + e2) % side,
+            (c2 * a1 + d2 * c1) % side, (c2 * b1 + d2 * d1) % side,
+            (c2 * e1 + d2 * f1 + f2) % side)
+
+
+def _walk_table(steps, k: int, side: int) -> tuple[tuple[int, ...], ...]:
+    """The 8^k composites of k steps; entry j takes the steps named by j's
+    base-8 digits, lowest digit first, as the walk reads its bits."""
+    table = [(1, 0, 0, 0, 1, 0)]
+    for _ in range(k):
+        table = [_then(m, s, side) for s in steps for m in table]
+    return tuple(table)
+
+
 class LuExtractor:
     """Expander-walk extractor: remember ell vertices of a walk, hash the
     corresponding input bits against an ell-bit string.
@@ -133,7 +162,14 @@ class LuExtractor:
     The graph lives on Z_side x Z_side with side = ceil(sqrt(n)); vertex
     (x, y) maps to input position x*side + y, and positions >= n read as 0
     (zero-padding keeps linearity and determinism).  Between remembered
-    vertices the walk takes c single steps of 3 seed bits each.
+    vertices the walk takes c single steps of 3 seed bits each, by the
+    rules of LU_NEIGHBOR_RULES.
+
+    Every rule is an affine map of Z_side^2, so k consecutive steps are one
+    affine map, selected by their 3k seed bits.  The constructor composes
+    the rules into a table of all 8^k such maps, k = min(3, c), and a
+    second table of 8^(c mod k) maps for a shorter last run; a walk segment
+    of c steps then takes ceil(c/k) lookups.
     """
 
     def __init__(self, n: int, c: int, ell: int):
@@ -146,31 +182,45 @@ class LuExtractor:
         self.ell = ell
         self.idx_width = ceil_log2(self.n_v)
         self.t_req = self.idx_width + 3 * c * (ell - 1) + ell
+        # k = 4 and 5 build 8x and 64x larger tables and walk no faster.
+        k = min(3, c)
+        steps = [_affine(rule, self.side) for rule in LU_NEIGHBOR_RULES]
+        full = _walk_table(steps, k, self.side)
+        rest = (_walk_table(steps, c % k, self.side),) if c % k else ()
+        # The table of each lookup of a segment, in walk order.
+        self._lookups = (full,) * (c // k) + rest
+        self._lookup_bits = 3 * k
 
     def prepare(self, input: BitBuffer) -> bytes:
         return input.to_bytes()
 
     def extract(self, prepared: bytes, subseed: int) -> int:
         side = self.side
-        c = self.c
+        seg_bits = 3 * self.c
+        seg_mask = (1 << seg_bits) - 1
+        lookups = self._lookups
+        k_bits = self._lookup_bits
+        k_mask = (1 << k_bits) - 1
         w = self.idx_width
-        v = (subseed & ((1 << w) - 1)) % self.n_v
-        x, y = divmod(v, side)
+        x, y = divmod((subseed & ((1 << w) - 1)) % self.n_v, side)
         walk = subseed >> w
-        beta = walk >> 3 * c * (self.ell - 1)
+        beta = walk >> seg_bits * (self.ell - 1)
         n_bits = 8 * len(prepared)  # bits past the input's end are zero
-        bit = 0
-        for i in range(self.ell):
-            # Read the vertex bit whatever its hash bit, so the extractor
-            # touches exactly ell input bits for any hash string.
+        # Read each vertex bit whatever its hash bit, so the extractor
+        # touches exactly ell input bits for any hash string.
+        pos = x * side + y
+        bit = beta & prepared[pos >> 3] >> (pos & 7) if pos < n_bits else 0
+        for _ in range(self.ell - 1):
+            seg = walk & seg_mask
+            walk >>= seg_bits
+            for table in lookups:
+                a, b, e, c, d, f = table[seg & k_mask]
+                x, y = (a * x + b * y + e) % side, (c * x + d * y + f) % side
+                seg >>= k_bits
+            beta >>= 1
             pos = x * side + y
             if pos < n_bits:
                 bit ^= beta & prepared[pos >> 3] >> (pos & 7)
-            beta >>= 1
-            if i < self.ell - 1:
-                for _ in range(c):
-                    x, y = LU_NEIGHBOR_RULES[walk & 7](x, y, side)
-                    walk >>= 3
         return bit & 1
 
 

@@ -203,15 +203,6 @@ class BinaryField:
                 a ^= self.poly
         return res
 
-    def pow(self, a: int, e: int) -> int:
-        res = 1
-        while e:
-            if e & 1:
-                res = self.mul(res, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return res
-
     def poly_eval(self, coeffs, x: int) -> int:
         if not coeffs:
             raise ValueError("coeffs must be non-empty")

@@ -68,11 +68,6 @@ class BitBuffer:
                        ).to_bytes(len(self._buf), "little")
         return out
 
-    def get_bit(self, i: int) -> int:
-        if not 0 <= i < self.len_bits:
-            raise IndexError(f"bit {i} outside [0, {self.len_bits})")
-        return (self._buf[i >> 3] >> (i & 7)) & 1
-
     def set_bit(self, i: int, bit: int) -> None:
         if not 0 <= i < self.len_bits:
             raise IndexError(f"bit {i} outside [0, {self.len_bits})")
@@ -89,9 +84,6 @@ class BitBuffer:
         chunk = int.from_bytes(self._buf[start >> 3:(start + width + 7) >> 3],
                                "little")
         return (chunk >> (start & 7)) & ((1 << width) - 1)
-
-    def ones(self) -> int:
-        return int.from_bytes(self._buf, "little").bit_count()
 
 
 # Maps the bytes 0 and 1 to the ASCII digits "0" and "1".

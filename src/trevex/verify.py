@@ -1,5 +1,5 @@
-"""Independent oracles: brute-force overlap sums, a scalar re-implementation
-of the whole pipeline, and a monobit statistic.
+"""Independent oracles: brute-force overlap sums and a scalar
+re-implementation of the whole pipeline.
 
 The naive paths deliberately share no code with the fast paths for field
 multiplication or parity; they exist to catch bugs in those paths.
@@ -72,14 +72,6 @@ def overlap_check(design) -> OverlapReport:
     return OverlapReport(worst_row=worst_row, worst_sum=worst_sum,
                          bound_num=num, bound_den=den,
                          passed=worst_sum * den <= num)
-
-
-def monobit(output: BitBuffer) -> float:
-    """z = (2*ones - len) / sqrt(len); sanity check on extractor output."""
-    n = len(output)
-    if n < 100:
-        raise ValueError("need at least 100 bits")
-    return (2 * output.ones() - n) / n ** 0.5
 
 
 # --- naive scalar pipeline -------------------------------------------------

@@ -18,6 +18,22 @@ def rand_buf(rng: random.Random, bits: int) -> BitBuffer:
     return BitBuffer(bits, rand_bits(rng, bits))
 
 
+def ones(buf: BitBuffer) -> int:
+    """Number of set bits in the buffer."""
+    return int.from_bytes(buf.to_bytes(), "little").bit_count()
+
+
+def field_pow(field, a: int, e: int) -> int:
+    """a^e in a BinaryField by square-and-multiply over its mul."""
+    res = 1
+    while e:
+        if e & 1:
+            res = field.mul(res, a)
+        a = field.mul(a, a)
+        e >>= 1
+    return res
+
+
 def rand_extractor(rng: random.Random, family: str, n: int):
     if family == "xor":
         return XorExtractor(n, rng.randrange(1, 8))

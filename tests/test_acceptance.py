@@ -28,7 +28,7 @@ from trevex.verify import TWO_E_DEN, TWO_E_NUM, naive_extract, overlap_check
 from trevex.weakdesign import (BasicDesign, BlockDesign, DesignVariant,
                                block_partition, design_d, make_design)
 
-from conftest import FAMILIES, rand_buf, rand_job
+from conftest import FAMILIES, field_pow, rand_buf, rand_job
 
 MERSENNE_61 = (1 << 61) - 1
 
@@ -262,7 +262,7 @@ def test_criterion_10_field_correctness():
             assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
         for _ in range(20):
             a = rng.randrange(1, top)
-            assert f.pow(a, top - 1) == 1
+            assert field_pow(f, a, top - 1) == 1
 
 
 def test_criterion_11_throughput():

@@ -101,3 +101,25 @@ def test_one_gather_per_output_bit(monkeypatch):
     job = _xor_gfp_job()
     extract_all(job)
     assert len(calls) == job.m
+
+
+def test_one_lu_extract_per_output_bit(monkeypatch):
+    """``--trace 1`` times the one-bit extractor by wrapping each
+    extractor class's ``extract``; the LU walk of every output bit must run
+    in one such call."""
+    calls = []
+    extract = bitext.LuExtractor.extract
+
+    def counting(self, prepared, subseed):
+        calls.append(subseed)
+        return extract(self, prepared, subseed)
+
+    monkeypatch.setattr(bitext.LuExtractor, "extract", counting)
+    ext = bitext.LuExtractor(4099, 9, 6)
+    design = weakdesign.make_design(weakdesign.DesignVariant.GFP, ext.t_req, 40)
+    rng = random.Random(509)
+    job = ExtractionJob(input=rand_buf(rng, 4099),
+                        seed=rand_buf(rng, design.d), design=design,
+                        extractor=ext, m=40)
+    extract_all(job)
+    assert len(calls) == job.m

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trevex import bitext, params
 from trevex.bitext import (LU_NEIGHBOR_RULES, LuExtractor, RshExtractor,
@@ -7,7 +9,8 @@ from trevex.finfield import BinaryField, find_irreducible
 from trevex.trevisan import BitBuffer, ExtractionJob, extract_all
 from trevex.weakdesign import DesignVariant, make_design
 
-from conftest import FAMILIES, rand_bits, rand_buf, rand_extractor
+from conftest import (FAMILIES, field_pow, ones, rand_bits, rand_buf,
+                      rand_extractor)
 
 
 def buf_from_bits(bits):
@@ -102,7 +105,7 @@ class TestRsh:
                 acc = 0
                 for i in range(ext.s):
                     c = x.get_bits(i * l, l)
-                    acc ^= f.mul(c, f.pow(alpha, ext.s - 1 - i))
+                    acc ^= f.mul(c, field_pow(f, alpha, ext.s - 1 - i))
                 want = (acc & beta).bit_count() & 1
                 assert ext.extract(ext.prepare(x), sub) == want
 
@@ -149,18 +152,18 @@ class TestNoHiddenState:
         else:
             assert isinstance(prepared, bytes)
             assert prepared == x.to_bytes()
-        x.set_bit(0, 1 - x.get_bit(0))
+        x.set_bit(0, 1 - x.get_bits(0, 1))
         assert ext.prepare(x) != prepared
 
     def test_input_zeroed_in_place_after_extract_all(self, rng, family):
         job = self._job(rng, family)
         ext = job.extractor
-        assert extract_all(job).ones() > 0
+        assert ones(extract_all(job)) > 0
         subs = [rand_bits(rng, ext.t_req) for _ in range(64)]
         job.input._buf[:] = bytes(len(job.input._buf))
         assert [ext.extract(ext.prepare(job.input), y)
                 for y in subs] == [0] * 64
-        assert extract_all(job).ones() == 0
+        assert ones(extract_all(job)) == 0
 
     def test_input_zeroed_in_place_after_prepare(self, rng, family):
         ext = rand_extractor(rng, family, 640)
@@ -258,10 +261,11 @@ class TestLu:
         assert ext.extract(ext.prepare(x), sub) == 1  # 1 xor 0
 
     def test_locality(self, rng):
-        ext = LuExtractor(49, 2, 5)
-        x = CountingBytes(ext.prepare(rand_buf(rng, 49)))
-        ext.extract(x, rand_bits(rng, ext.t_req))
-        assert x.reads == 5
+        for c in (2, 9):  # c = 9 walks by full composed-step lookups
+            ext = LuExtractor(49, c, 5)
+            x = CountingBytes(ext.prepare(rand_buf(rng, 49)))
+            ext.extract(x, rand_bits(rng, ext.t_req))
+            assert x.reads == 5
 
     def test_linearity(self, rng):
         ext = LuExtractor(100, 2, 4)
@@ -276,6 +280,47 @@ class TestLu:
         ext = LuExtractor(100, 3, 7)
         assert ext.n_v == 100
         assert ext.t_req == 7 + 3 * 3 * 6 + 7
+
+
+def _stepped_walk(x, y, walk, steps, side):
+    """(x, y) after the given number of single steps by LU_NEIGHBOR_RULES,
+    3 walk bits per step, lowest first."""
+    for _ in range(steps):
+        x, y = LU_NEIGHBOR_RULES[walk & 7](x, y, side)
+        walk >>= 3
+    return x, y
+
+
+class TestLuComposedWalk:
+    """The walk by composed-step table lookups ends where single steps by
+    LU_NEIGHBOR_RULES end, for every c mod 3 and for c < 3, on sides that
+    are powers of two (n = 1,000) and sides that are not, one of them a
+    perfect square (n = 2,401)."""
+
+    @pytest.mark.parametrize("c", range(1, 11))
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([1000, 4099, 65537, 2401]),
+           ell=st.integers(2, 4), data=st.data())
+    def test_matches_single_steps(self, c, n, ell, data):
+        ext = LuExtractor(n, c, ell)
+        side = ext.side
+        x = data.draw(st.integers(0, side - 1))
+        y = data.draw(st.integers(0, side - 1))
+        steps = c * (ell - 1)
+        walk = data.draw(st.integers(0, (1 << 3 * steps) - 1))
+        end_x, end_y = _stepped_walk(x, y, walk, steps, side)
+        end = end_x * side + end_y
+        # The hash string selects the last vertex alone, so the output bit
+        # is the input bit at the walk's end.
+        sub = ((x * side + y) | walk << ext.idx_width
+               | 1 << ext.idx_width + 3 * steps + ell - 1)
+        only_end = BitBuffer(n)
+        all_but_end = BitBuffer(n, (1 << n) - 1)
+        if end < n:
+            only_end.set_bit(end, 1)
+            all_but_end.set_bit(end, 0)
+        assert ext.extract(ext.prepare(only_end), sub) == (end < n)
+        assert ext.extract(ext.prepare(all_but_end), sub) == 0
 
 
 class TestInterface:

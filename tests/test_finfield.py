@@ -7,6 +7,8 @@ from trevex.finfield import (BinaryField, PrimeField, field_for_order,
                              next_prime)
 from trevex.weakdesign import BasicDesign
 
+from conftest import field_pow
+
 MERSENNE61 = (1 << 61) - 1
 
 PINNED_MODULI = {
@@ -177,7 +179,7 @@ class TestBinaryField:
             f = find_irreducible(l)
             for _ in range(25):
                 a = rng.randrange(1, 1 << l)
-                assert f.pow(a, (1 << l) - 1) == 1
+                assert field_pow(f, a, (1 << l) - 1) == 1
 
     def test_axioms(self, rng):
         for l in (3, 8, 16):
@@ -195,7 +197,7 @@ class TestBinaryField:
             x = rng.randrange(256)
             want = 0
             for j, c in enumerate(coeffs):
-                want ^= f.mul(c, f.pow(x, j))
+                want ^= f.mul(c, field_pow(f, x, j))
             assert f.poly_eval(coeffs, x) == want
 
     def test_bad_poly_degree(self):

@@ -12,18 +12,18 @@ from trevex import trevisan
 from trevex.bitext import LuExtractor, RshExtractor, XorExtractor
 from trevex.trevisan import (BitBuffer, ExtractionJob, InsufficientSeedError,
                              extract_all, slice_subseed)
-from trevex.verify import monobit, naive_extract
+from trevex.verify import naive_extract
 from trevex.weakdesign import DesignVariant, make_design
 
-from conftest import FAMILIES, rand_buf, rand_job
+from conftest import FAMILIES, ones, rand_buf, rand_job
 
 
 class TestBitBuffer:
     def test_bit_order_convention(self):
         b = BitBuffer.from_bytes(bytes([0b00000001, 0b10000000]))
-        assert b.get_bit(0) == 1
-        assert b.get_bit(15) == 1
-        assert sum(b.get_bit(i) for i in range(16)) == 2
+        assert b.get_bits(0, 1) == 1
+        assert b.get_bits(15, 1) == 1
+        assert sum(b.get_bits(i, 1) for i in range(16)) == 2
 
     def test_multibit_reads_lsb_first(self):
         b = BitBuffer.from_bytes(bytes([0xAB, 0xCD]))
@@ -39,15 +39,15 @@ class TestBitBuffer:
     def test_tail_bits_masked(self):
         b = BitBuffer.from_bytes(bytes([0xFF]), 5)
         assert b.to_bytes() == bytes([0b00011111])
-        assert b.ones() == 5
+        assert ones(b) == 5
 
     def test_set_and_get(self):
         b = BitBuffer(20)
         b.set_bit(13, 1)
-        assert b.get_bit(13) == 1
-        assert b.ones() == 1
+        assert b.get_bits(13, 1) == 1
+        assert ones(b) == 1
         b.set_bit(13, 0)
-        assert b.ones() == 0
+        assert ones(b) == 0
 
     def test_unhashable(self):
         # A hash taken before set_bit would go stale, losing the buffer in
@@ -66,7 +66,7 @@ class TestBitBuffer:
     def test_index_errors(self):
         b = BitBuffer(8)
         with pytest.raises(IndexError):
-            b.get_bit(8)
+            b.set_bit(8, 1)
         with pytest.raises(IndexError):
             b.set_bit(-1, 1)
         with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ class TestSliceSubseed:
     def test_identity_prefix(self, rng):
         seed = rand_buf(rng, 64)
         sub = slice_subseed(seed, range(16))
-        assert all(sub >> i & 1 == seed.get_bit(i) for i in range(16))
+        assert all(sub >> i & 1 == seed.get_bits(i, 1) for i in range(16))
 
     def test_hand_selection(self):
         seed = BitBuffer(5)
@@ -105,7 +105,7 @@ class TestSliceSubseed:
         unsorted = [rng.randrange(1003) for _ in range(300)]
         duplicates = [7, 7, 1002, 0, 7, 1002, 0]
         for indices in (unsorted, duplicates):
-            want = sum(seed.get_bit(i) << j for j, i in enumerate(indices))
+            want = sum(seed.get_bits(i, 1) << j for j, i in enumerate(indices))
             assert slice_subseed(seed, indices) == want
 
     def test_no_indices(self):
@@ -142,7 +142,7 @@ class TestExtractAll:
         row = design.compute_Si(0)
         want = ext.extract(ext.prepare(x),
                            slice_subseed(seed, row[:ext.t_req]))
-        assert extract_all(job).get_bit(0) == want
+        assert extract_all(job).get_bits(0, 1) == want
 
     def test_worker_count_invariance(self, rng):
         for family in FAMILIES:
@@ -241,7 +241,7 @@ class TestExtractAll:
         for i in range(8):
             row = design.compute_Si(i)
             sub = slice_subseed(seed, row[:ext.t_req])
-            assert out.get_bit(i) == ext.extract(ext.prepare(x), sub)
+            assert out.get_bits(i, 1) == ext.extract(ext.prepare(x), sub)
 
     def test_unused_seed_bit_is_ignored(self, rng):
         ext = XorExtractor(64, 3)
@@ -254,7 +254,7 @@ class TestExtractAll:
         job = ExtractionJob(input=x, seed=seed, design=design,
                             extractor=ext, m=4)
         before = extract_all(job).to_bytes()
-        seed.set_bit(free, 1 - seed.get_bit(free))
+        seed.set_bit(free, 1 - seed.get_bits(free, 1))
         assert extract_all(job).to_bytes() == before
 
     def test_pipeline_linearity(self, rng):
@@ -283,8 +283,23 @@ class TestExtractAll:
                             extractor=ext, m=m)
         assert extract_all(job) == naive_extract(job)
 
+    @pytest.mark.parametrize("n, c, ell, variant", [
+        (300, 7, 5, DesignVariant.GFP),
+        (1000, 9, 6, DesignVariant.BLOCK_GF2X),
+    ])
+    def test_long_lu_walk_matches_naive_oracle(self, rng, n, c, ell, variant):
+        """The oracle test above draws c <= 3; c = 7 and 9 walk by full
+        composed-step lookups and, for c = 7, one shorter last lookup."""
+        ext = LuExtractor(n, c, ell)
+        design = make_design(variant, ext.t_req, 24)
+        job = ExtractionJob(input=rand_buf(rng, n),
+                            seed=rand_buf(rng, design.d), design=design,
+                            extractor=ext, m=24)
+        assert extract_all(job) == naive_extract(job)
+
     def test_monobit_on_uniform_input(self):
-        # ones-fraction of the output stays within 5 sigma of 1/2
+        # ones-fraction of the output stays within 5 sigma of 1/2:
+        # z = (2*ones - m) / sqrt(m)
         rng = random.Random(20240817)
         ext = XorExtractor(1 << 20, 2)
         design = make_design(DesignVariant.GFP, ext.t_req, 10 ** 4)
@@ -293,7 +308,8 @@ class TestExtractAll:
             job = ExtractionJob(input=rand_buf(rng, 1 << 20),
                                 seed=rand_buf(rng, design.d),
                                 design=design, extractor=ext, m=10 ** 4)
-            if abs(monobit(extract_all(job))) >= 5.0:
+            out = extract_all(job)
+            if abs(2 * ones(out) - len(out)) / len(out) ** 0.5 >= 5.0:
                 bad += 1
         assert bad == 0
 
@@ -345,3 +361,18 @@ def test_degree_two_output_digest_pinned():
     digest = hashlib.sha256(extract_all(job).to_bytes()).hexdigest()
     assert digest == ("e865625adc33a69ccb930d2ba1a024d7"
                       "cd083ade1684d38b8fbb3f938d763dae")
+
+
+def test_long_lu_walk_output_digest_pinned():
+    """The pinned lu jobs above walk c = 2 steps between samples; here
+    c = 9 steps take three composed-step lookups, on side 65."""
+    ext = LuExtractor(4099, 9, 6)
+    design = make_design(DesignVariant.GFP, ext.t_req, 40)
+    assert (ext.side, ext.t_req, design.t_act) == (65, 154, 157)
+    rng = random.Random("lu/gfp/c9")
+    job = ExtractionJob(input=rand_buf(rng, 4099),
+                        seed=rand_buf(rng, design.d), design=design,
+                        extractor=ext, m=40)
+    digest = hashlib.sha256(extract_all(job).to_bytes()).hexdigest()
+    assert digest == ("a0b4421d6ee1de4640d7c17b29e66309"
+                      "05e2ab83430349370904f5e346c2605e")

@@ -1,8 +1,7 @@
 import pytest
 
-from trevex.trevisan import BitBuffer, ExtractionJob, extract_all
-from trevex.verify import (BudgetExceededError, monobit, naive_extract,
-                           overlap_check)
+from trevex.trevisan import extract_all
+from trevex.verify import BudgetExceededError, naive_extract, overlap_check
 from trevex.weakdesign import BasicDesign, BlockDesign, DesignVariant
 
 from conftest import FAMILIES, rand_buf, rand_job
@@ -58,21 +57,6 @@ class TestOverlapCheck:
             overlap_check(BasicDesign(41, 4))
         with pytest.raises(BudgetExceededError):
             overlap_check(FakeDesign([[0, 1]] * 5000))
-
-
-class TestMonobit:
-    def test_all_ones(self):
-        assert monobit(BitBuffer(100, (1 << 100) - 1)) == 10.0
-
-    def test_balanced(self):
-        b = BitBuffer(100)
-        for i in range(0, 100, 2):
-            b.set_bit(i, 1)
-        assert monobit(b) == 0.0
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            monobit(BitBuffer(99))
 
 
 class TestNaiveExtract:
