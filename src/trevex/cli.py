@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from . import bitext, params, verify, weakdesign
+from . import bitext, params, weakdesign
 from .params import InfeasibleParameters
 from .trevisan import BitBuffer, ExtractionJob, extract_all
 from .weakdesign import DesignFormatError, DesignVariant
@@ -109,12 +109,13 @@ def run_dry(args) -> int:
 
 def _read_bits(path: str, bits: int, what: str) -> BitBuffer:
     need = (bits + 7) // 8
+    buf = BitBuffer(bits)
     with open(path, "rb") as fh:
-        data = fh.read(need)
-    if len(data) < need:
-        raise InsufficientData(f"{what} file {path} has {len(data)} bytes, "
+        got = buf.readinto(fh)
+    if got < need:
+        raise InsufficientData(f"{what} file {path} has {got} bytes, "
                                f"need {need}")
-    return BitBuffer.from_bytes(data, bits)
+    return buf
 
 
 class InsufficientData(Exception):
@@ -186,6 +187,7 @@ def run_gen_design(args) -> int:
 
 
 def run_verify_design(args) -> int:
+    from . import verify  # the oracles serve this command alone
     design = weakdesign.design_load(args.verify_design)
     t, m, d = design.t_act, design.m, design.d
     for i in range(m):

@@ -13,7 +13,7 @@ output is byte-identical for any worker count.
 
 from __future__ import annotations
 
-import multiprocessing
+import io
 from dataclasses import dataclass
 
 
@@ -34,19 +34,25 @@ class BitBuffer:
             raise ValueError("negative length")
         self.len_bits = len_bits
         nbytes = (len_bits + 7) // 8
-        value &= (1 << len_bits) - 1
-        self._buf = bytearray(value.to_bytes(nbytes, "little"))
+        if value:  # a zero buffer builds no len_bits-bit int
+            value &= (1 << len_bits) - 1
+        self._buf = bytearray(value.to_bytes(nbytes, "little") if value else nbytes)
 
     @classmethod
     def from_bytes(cls, data: bytes, len_bits: int | None = None) -> "BitBuffer":
         if len_bits is None:
             len_bits = 8 * len(data)
         out = cls(len_bits)
-        nbytes = (len_bits + 7) // 8
-        out._buf[:len(data[:nbytes])] = data[:nbytes]
-        if len_bits % 8 and nbytes:
-            out._buf[-1] &= (1 << (len_bits % 8)) - 1
+        out.readinto(io.BytesIO(data))
         return out
+
+    def readinto(self, fh) -> int:
+        """Fill the buffer from the binary file fh, in place, and return the
+        number of bytes read: fewer than its size at end of file."""
+        got = fh.readinto(self._buf)
+        if self.len_bits % 8:
+            self._buf[-1] &= (1 << (self.len_bits % 8)) - 1
+        return got
 
     def to_bytes(self) -> bytes:
         return bytes(self._buf)
@@ -62,11 +68,8 @@ class BitBuffer:
     def __xor__(self, other: "BitBuffer") -> "BitBuffer":
         if len(other) != self.len_bits:
             raise ValueError("length mismatch")
-        out = BitBuffer(self.len_bits)
-        out._buf[:] = (int.from_bytes(self._buf, "little")
-                       ^ int.from_bytes(other._buf, "little")
-                       ).to_bytes(len(self._buf), "little")
-        return out
+        return BitBuffer(self.len_bits, int.from_bytes(self._buf, "little")
+                         ^ int.from_bytes(other._buf, "little"))
 
     def set_bit(self, i: int, bit: int) -> None:
         if not 0 <= i < self.len_bits:
@@ -160,6 +163,7 @@ def extract_all(job: ExtractionJob) -> BitBuffer:
         return BitBuffer(m, _extract_range(job, prepared, 0, m))
     chunk = -(-m // workers)
     bounds = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
+    import multiprocessing  # only a fan-out pays for the import
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers, initializer=_init_worker,
                   initargs=(job, prepared)) as pool:

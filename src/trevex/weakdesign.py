@@ -21,6 +21,7 @@ The pair-to-index map is (x, p(x)) -> x*t + p(x), fixed for reproducibility.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import sys
 import zlib
@@ -274,15 +275,20 @@ def design_save(design, path) -> None:
     else:
         for i in range(design.m):
             out += struct.pack(f"<{design.t_act}I", *design.compute_Si(i))
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
+    out += struct.pack("<I", zlib.crc32(out))
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(out)
+
+
+# Every header is 29 + 8*k bytes long, so reading the file this many bytes
+# into its buffer starts the rows on a 4-byte boundary.
+_PAD = 3
 
 
 class _Reader:
-    def __init__(self, data: memoryview):
+    def __init__(self, data: memoryview, pos: int):
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def take(self, fmt: str):
         size = struct.calcsize(fmt)
@@ -292,17 +298,15 @@ class _Reader:
         self.pos += size
         return vals
 
-    def row(self, t: int) -> array:
-        """The next t u32 values, kept packed."""
-        row = array("I", self.take(f"{4 * t}s")[0])
-        if sys.byteorder == "big":
-            row.byteswap()
-        return row
-
 
 def design_load(path):
+    """Load a design cache.  The file is read once, and its rows are served
+    as views of that one buffer: a loaded design holds about its file size."""
     with open(path, "rb") as fh:
-        data = memoryview(fh.read())
+        buf = bytearray(_PAD + os.fstat(fh.fileno()).st_size)
+        del buf[_PAD + fh.readinto(memoryview(buf)[_PAD:]):]
+        buf += fh.read()  # a pipe reports no size ahead
+    data = memoryview(buf)[_PAD:]
     if len(data) < len(_MAGIC) + 1 + 24 + 4:
         raise DesignFormatError("file too short for a design cache")
     if data[:4] != _MAGIC:
@@ -310,8 +314,7 @@ def design_load(path):
     (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(data[:-4]) != stored_crc:
         raise DesignFormatError("checksum mismatch")
-    rd = _Reader(data[:-4])
-    rd.pos = 4
+    rd = _Reader(data[:-4], len(_MAGIC))
     (variant_tag,) = rd.take("<B")
     try:
         variant = DesignVariant(variant_tag)
@@ -325,17 +328,23 @@ def design_load(path):
     if sizing != (t_act, d):
         raise DesignFormatError(f"({t_act=}, {d=}) is not the {variant.name} "
                                 f"design's sizing {sizing}")
+    n_rows = m
     if variant.is_block:
         m_list = block_partition(m, t_act).m_list
         # block count, block sizes and shared row count, as (m, t) give them
         want = [len(m_list), *m_list, max(m_list)]
         if list(rd.take(f"<{len(want)}Q")) != want:
             raise DesignFormatError("block header is not the partition of (m, t)")
-        rows = [rd.row(t_act) for _ in range(want[-1])]
-        design = LoadedBlockDesign(variant, t_act, m, d, m_list, rows)
-    else:
-        rows = [rd.row(t_act) for _ in range(m)]
-        design = LoadedBasicDesign(variant, t_act, m, d, rows)
-    if rd.pos != len(rd.data):
-        raise DesignFormatError("trailing bytes in design cache file")
-    return design
+        n_rows = want[-1]
+    flat, size = rd.data[rd.pos:], 4 * n_rows * t_act
+    if len(flat) != size:
+        raise DesignFormatError("truncated design cache file" if len(flat) < size
+                                else "trailing bytes in design cache file")
+    flat = flat.cast("I")
+    if sys.byteorder == "big":  # the rows are stored little-endian
+        flat = array("I", flat)
+        flat.byteswap()
+    rows = [flat[k * t_act:(k + 1) * t_act] for k in range(n_rows)]
+    if variant.is_block:
+        return LoadedBlockDesign(variant, t_act, m, d, m_list, rows)
+    return LoadedBasicDesign(variant, t_act, m, d, rows)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from trevex import cli
 from trevex.bitext import from_params
 from trevex.params import RKind, max_output_len, rsh_params
+from trevex.trevisan import BitBuffer
 from trevex.weakdesign import (DesignVariant, design_load, design_save,
                                make_design)
 from trevex.weakdesign import LoadedBasicDesign
@@ -319,6 +324,32 @@ class TestDesignTools:
         design_save(bad, cache)
         assert run(["--verify-design", str(cache)]) == 5
         assert "row 3" in capsys.readouterr().err
+
+
+class TestFootprint:
+    def test_seed_read_holds_the_data_once(self, tmp_path):
+        bits = 2_000_003
+        data = random.Random(7).randbytes((bits + 7) // 8)
+        path = tmp_path / "seed.bin"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            buf = cli._read_bits(str(path), bits, "seed")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert buf == BitBuffer.from_bytes(data, bits)
+        assert peak <= len(data) + 64 * 1024
+
+    def test_import_leaves_out_pool_and_oracles(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, trevex.cli; "
+                "print(sorted({'multiprocessing', 'trevex.verify'} "
+                "& set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.strip() == "[]"
 
 
 class TestReadme:

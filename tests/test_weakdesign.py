@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import struct
+import threading
+import tracemalloc
 import zlib
 
 import pytest
@@ -320,6 +323,47 @@ class TestDiskCache:
         path = tmp_path / "design.twd"
         design_save(make_design(variant, 11, 32), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("variant, t_req, m", [
+        (DesignVariant.GFP, 1000, 64),
+        (DesignVariant.BLOCK_GFP, 1000, 100),
+    ], ids=["gfp", "block-gfp"])
+    def test_load_holds_the_file_once(self, variant, t_req, m, tmp_path):
+        path = tmp_path / "design.twd"
+        design_save(make_design(variant, t_req, m), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = design_load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.m == m
+        assert peak <= size + 64 * 1024
+
+    def test_load_from_pipe(self, tmp_path):
+        design = make_design(DesignVariant.BLOCK_GFP, 7, 20)
+        path, fifo = tmp_path / "design.twd", tmp_path / "fifo"
+        design_save(design, path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        loaded = design_load(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        for i in range(20):
+            assert loaded.compute_Si(i) == design.compute_Si(i)
+
+    @pytest.mark.parametrize("variant", [DesignVariant.GFP,
+                                         DesignVariant.BLOCK_GFP])
+    def test_loaded_rows_are_fresh_lists(self, variant, tmp_path):
+        path = tmp_path / "design.twd"
+        design_save(make_design(variant, 7, 20), path)
+        loaded = design_load(path)
+        row = loaded.compute_Si(0)
+        row[0] = 999
+        assert loaded.compute_Si(0)[0] != 999
 
     def test_block_cache_smaller_than_explicit_dump(self, tmp_path):
         design = make_design(DesignVariant.BLOCK_GFP, 7, 100)
