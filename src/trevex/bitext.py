@@ -24,9 +24,13 @@ from .trevisan import BitBuffer
 class XorExtractor:
     """Parity of ell input bits at seed-chosen positions.
 
-    Each position is an idx_width-bit slice of the subseed reduced mod n;
-    for n a power of two the reduction is exact, otherwise the tiny bias is
-    accepted (the seed domain is bits, not [n]^ell).
+    Each position is an idx_width-bit slice of the subseed reduced mod n,
+    w = idx_width = ceil(log2 n).  For n a power of two the reduction is
+    exact.  Otherwise 2**w < 2n, so positions below 2**w - n are drawn with
+    probability 2/2**w and the rest with 1/2**w, half as often: for
+    n = 1,025, positions 1,023 and 1,024 are drawn half as often as the
+    others.  The bias is accepted, not charged to eps (the seed domain is
+    bits, not [n]^ell).
     """
 
     def __init__(self, n: int, ell: int):

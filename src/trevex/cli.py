@@ -206,7 +206,10 @@ def run_verify_design(args) -> int:
             print(f"verification failed: row {report.worst_row} overlap sum "
                   f"{report.worst_sum} exceeds the r*m bound", file=sys.stderr)
             return EXIT_VERIFY
+        print("overlap_checked=true")
         print(f"overlap_worst_sum={report.worst_sum}")
+    else:
+        print("overlap_checked=false")
     print(f"t_act={t}")
     print(f"m={m}")
     print(f"d={d}")

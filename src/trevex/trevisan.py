@@ -89,22 +89,36 @@ class BitBuffer:
         return (chunk >> (start & 7)) & ((1 << width) - 1)
 
 
-# Maps the bytes 0 and 1 to the ASCII digits "0" and "1".
-_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
+# _ASCII_BIT[o] maps a byte to the ASCII digit ("0" or "1") of its bit o:
+# over the bytes 0..255, bit o runs in alternating blocks of 2**o.
+_ASCII_BIT = [(b"0" * (1 << o) + b"1" * (1 << o)) * (128 >> o) for o in range(8)]
 
 
 def slice_subseed(seed: BitBuffer, indices) -> int:
     """Bits of the seed at the given positions, in order, LSB-first.
 
     The bits are read straight from the seed's bytes and packed by int()
-    from a string of binary digits, last position first."""
+    from a string of binary digits, last position first.  A range with a
+    positive step is read by strided byte slices: its positions j, j+8,
+    j+16, ... share one bit offset and lie step bytes apart."""
     if not indices:
         return 0
-    if min(indices) < 0 or max(indices) >= seed.len_bits:
+    strided = isinstance(indices, range) and indices.step > 0
+    lo, hi = ((indices[0], indices[-1]) if strided
+              else (min(indices), max(indices)))
+    if lo < 0 or hi >= seed.len_bits:
         raise IndexError(f"subseed position outside [0, {seed.len_bits})")
     buf = seed._buf
-    bits = bytes([buf[i >> 3] >> (i & 7) & 1 for i in indices])
-    return int(bits[::-1].translate(_ASCII_BITS), 2)
+    if not strided:
+        bits = bytes([buf[i >> 3] >> (i & 7) & 1 for i in indices])
+        return int(bits[::-1].translate(_ASCII_BIT[0]), 2)
+    n, step = len(indices), indices.step
+    digits = bytearray(n)
+    for j, pos in enumerate(indices[:8]):
+        byte, count = pos >> 3, (n - j + 7) >> 3
+        digits[j::8] = buf[byte:byte + count * step:step].translate(
+            _ASCII_BIT[pos & 7])
+    return int(digits[::-1], 2)
 
 
 @dataclass

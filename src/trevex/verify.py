@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .finfield import BinaryField, PrimeField
 from .trevisan import BitBuffer, ExtractionJob
-from .weakdesign import BasicDesign, BlockDesign
+from .weakdesign import (BasicDesign, BlockDesign, LoadedBasicDesign,
+                         LoadedBlockDesign)
 
 # Rational over-approximation of 2e, so a floating comparison can never turn
 # a true bound violation into a pass.
@@ -140,17 +141,25 @@ def _naive_basic_row(design: BasicDesign, i: int) -> list[int]:
 
 
 def _naive_design_rows(design, m: int) -> list[list[int]]:
+    """Rows as the construction gives them, or as a loaded cache stores
+    them, never served as ranges."""
     if isinstance(design, BasicDesign):
         return [_naive_basic_row(design, i) for i in range(m)]
+    if isinstance(design, LoadedBasicDesign):
+        return [list(design._rows.raw[i]) for i in range(m)]
     if isinstance(design, BlockDesign):
-        t2 = design.t_act * design.t_act
-        rows = []
-        for j, mj in enumerate(design.partition.m_list):  # block-sequential
-            for k in range(mj):
-                rows.append([e + j * t2
-                             for e in _naive_basic_row(design._basic, k)])
-        return rows[:m]
-    raise BudgetExceededError(f"unsupported design {type(design).__name__}")
+        basic = [_naive_basic_row(design._basic, k)
+                 for k in range(max(design.partition.m_list))]
+    elif isinstance(design, LoadedBlockDesign):
+        basic = [list(row) for row in design._basic_rows.raw]
+    else:
+        raise BudgetExceededError(f"unsupported design {type(design).__name__}")
+    t2 = design.t_act * design.t_act
+    rows = []
+    for j, mj in enumerate(design.partition.m_list):  # block-sequential
+        for k in range(mj):
+            rows.append([e + j * t2 for e in basic[k]])
+    return rows[:m]
 
 
 def _bits_of(buf: BitBuffer) -> list[int]:

@@ -16,6 +16,11 @@ header against it.  Parameters that admit no design raise
 ``params.InfeasibleParameters``.
 
 The pair-to-index map is (x, p(x)) -> x*t + p(x), fixed for reproducibility.
+
+Every design's ``compute_Si(i)`` returns row i as an ascending sequence of
+ints that the caller owns: a ``range`` when the row is the progression
+{x*t + a : x < t} (every row of a degree-0 design, c = 0), otherwise a
+fresh list.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
+from typing import Sequence
 
 from .finfield import BinaryField, field_for_order, next_prime
 from .params import TWO_E, InfeasibleParameters, RKind, ceil_log2
@@ -97,11 +103,14 @@ class BasicDesign:
         t = self.t_act
         return [(i // t ** j) % t for j in range(self.c + 1)]
 
-    def compute_Si(self, i: int) -> list[int]:
-        """x*t + p_i(x) for x = 0..t-1, which is already ascending."""
+    def compute_Si(self, i: int) -> Sequence[int]:
+        """x*t + p_i(x) for x = 0..t-1, which is already ascending; for
+        c = 0, p_i is the constant i and the row is a range."""
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
         t = self.t_act
+        if self.c == 0:
+            return range(i, i + t * t, t)
         return list(map(add, range(0, t * t, t),
                         self.field.eval_all(self.coefficients(i))))
 
@@ -174,9 +183,9 @@ class BlockDesign:
         self.variant = (DesignVariant.BLOCK_GF2X if self._basic.variant.is_gf2x
                         else DesignVariant.BLOCK_GFP)
         self._order = _block_order(self.partition.m_list)
-        self._row_cache: dict[int, list[int]] = {}
+        self._row_cache: dict[int, Sequence[int]] = {}
 
-    def compute_Si(self, i: int) -> list[int]:
+    def compute_Si(self, i: int) -> Sequence[int]:
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
         k, j = self._order[i]
@@ -184,8 +193,14 @@ class BlockDesign:
         if base is None:
             base = self._basic.compute_Si(k)
             self._row_cache[k] = base
-        off = j * self.t_act * self.t_act
-        return [e + off for e in base]
+        return _shifted(base, j * self.t_act * self.t_act)
+
+
+def _shifted(row: Sequence[int], off: int) -> Sequence[int]:
+    """The row with off added to every element, as a new range or list."""
+    if isinstance(row, range):
+        return range(row.start + off, row.stop + off, row.step)
+    return [e + off for e in row]
 
 
 def design_d(variant: DesignVariant, t_req: int, m: int | None = None) -> tuple[int, int]:
@@ -223,36 +238,68 @@ def make_design(variant: DesignVariant, t_req: int, m: int):
 _MAGIC = b"TWD1"
 
 
+class _StoredRows:
+    """Serves the stored rows of a loaded design exactly as stored: a row
+    that is the progression a, a+t, ..., a+(t-1)t as a range, any other row
+    as a fresh list.  A row is never replaced by the construction's.
+
+    As one int of its native-order u32 lanes, that progression is
+    a*ones + ramp, with ramp the progression from 0; the comparison is
+    exact because its last element a+(t-1)t also fits a lane, so no lane
+    carries into the next."""
+
+    def __init__(self, t: int, rows):
+        self.raw = rows
+        self._t = t
+        self._ones = self._ramp = None
+        if (t - 1) * t < 1 << 32:  # otherwise no progression fits the lanes
+            self._ones = int.from_bytes(array("I", [1]) * t, sys.byteorder)
+            self._ramp = int.from_bytes(array("I", range(0, t * t, t)),
+                                        sys.byteorder)
+
+    def row(self, k: int) -> Sequence[int]:
+        row, t = self.raw[k], self._t
+        a = row[0]
+        if (self._ones is not None and row[-1] == a + (t - 1) * t
+                and int.from_bytes(row, sys.byteorder)
+                == a * self._ones + self._ramp):
+            return range(a, a + t * t, t)
+        return list(row)
+
+
 class LoadedBasicDesign:
+    """A basic design's rows as ``design_load`` read them: u32 buffers."""
+
     def __init__(self, variant, t_act, m, d, rows):
         self.variant = variant
         self.t_act = t_act
         self.m = m
         self.d = d
-        self._rows = rows
+        self._rows = _StoredRows(t_act, rows)
 
-    def compute_Si(self, i: int) -> list[int]:
+    def compute_Si(self, i: int) -> Sequence[int]:
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
-        return list(self._rows[i])
+        return self._rows.row(i)
 
 
 class LoadedBlockDesign:
+    """A block design's shared basic rows as ``design_load`` read them."""
+
     def __init__(self, variant, t_act, m, d, m_list, basic_rows):
         self.variant = variant
         self.t_act = t_act
         self.m = m
         self.d = d
         self.partition = BlockPartition(ell=len(m_list) - 1, m_list=m_list)
-        self._basic_rows = basic_rows
+        self._basic_rows = _StoredRows(t_act, basic_rows)
         self._order = _block_order(m_list)
 
-    def compute_Si(self, i: int) -> list[int]:
+    def compute_Si(self, i: int) -> Sequence[int]:
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
         k, j = self._order[i]
-        off = j * self.t_act * self.t_act
-        return [e + off for e in self._basic_rows[k]]
+        return _shifted(self._basic_rows.row(k), j * self.t_act * self.t_act)
 
 
 def design_save(design, path) -> None:
@@ -267,14 +314,15 @@ def design_save(design, path) -> None:
         n_rows = max(m_list)
         out += struct.pack("<Q", n_rows)
         if isinstance(design, LoadedBlockDesign):
-            rows = design._basic_rows
+            rows = design._basic_rows.raw
         else:
-            rows = [design._basic.compute_Si(k) for k in range(n_rows)]
-        for row in rows:
-            out += struct.pack(f"<{design.t_act}I", *row)
+            rows = map(design._basic.compute_Si, range(n_rows))
+    elif isinstance(design, LoadedBasicDesign):
+        rows = design._rows.raw
     else:
-        for i in range(design.m):
-            out += struct.pack(f"<{design.t_act}I", *design.compute_Si(i))
+        rows = map(design.compute_Si, range(design.m))
+    for row in rows:  # a loaded design saves its rows as stored
+        out += struct.pack(f"<{design.t_act}I", *row)
     out += struct.pack("<I", zlib.crc32(out))
     with open(path, "wb") as fh:
         fh.write(out)

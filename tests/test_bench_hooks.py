@@ -123,3 +123,48 @@ def test_one_lu_extract_per_output_bit(monkeypatch):
                         extractor=ext, m=40)
     extract_all(job)
     assert len(calls) == job.m
+
+
+def _degree_zero_job(shape: str, tmp_path) -> ExtractionJob:
+    """A small job of the ``lu-cached`` shape (a loaded gfp cache) or the
+    ``rsh-block`` shape (a computed block-gfp design), both with m <= t
+    basic rows, so every row is a range."""
+    rng = random.Random(7)
+    if shape == "lu-cached":
+        ext = bitext.LuExtractor(4099, 9, 6)
+        path = tmp_path / "design.twd"
+        weakdesign.design_save(weakdesign.make_design(
+            weakdesign.DesignVariant.GFP, ext.t_req, 40), path)
+        design = weakdesign.design_load(path)
+        assert isinstance(design, weakdesign.LoadedBasicDesign)
+    else:
+        ext = bitext.RshExtractor(4096, 8)
+        design = weakdesign.make_design(weakdesign.DesignVariant.BLOCK_GFP,
+                                        ext.t_req, 40)
+        assert design._basic.c == 0
+    assert all(isinstance(design.compute_Si(i), range) for i in range(40))
+    return ExtractionJob(input=rand_buf(rng, ext.n), seed=rand_buf(rng, design.d),
+                         design=design, extractor=ext, m=40)
+
+
+@pytest.mark.parametrize("shape", ["lu-cached", "rsh-block"])
+def test_degree_zero_rows_pass_both_hooks(shape, tmp_path):
+    """``--trace 1`` wraps every ``compute_Si`` and ``slice_subseed``;
+    range rows must still make one call of each per output bit, or
+    ``layers.job_layers``, which takes ``min()`` over the row spans, has
+    nothing to measure."""
+    job = _degree_zero_job(shape, tmp_path)
+    mods = SimpleNamespace(bitext=bitext, cli=cli, finfield=finfield,
+                           params=params, trevisan=trevisan,
+                           weakdesign=weakdesign)
+    tracer = layers.Tracer()
+    with tracer.patched("job", layers.targets(mods)) as spans:
+        out = cli.extract_all(job)
+    by_id = spans()
+    (run,) = [i for i, s in by_id.items() if s[1] == "trevisan.extract_all"]
+    children = [s[1] for s in by_id.values() if s[4] == run]
+    assert sum(name.startswith(layers.ROW) for name in children) == job.m
+    assert children.count("trevisan.slice_subseed") == job.m
+    figures, _ = layers.job_layers(by_id, job.m)
+    assert figures["weakdesign.row_us"] > 0
+    assert out == extract_all(job)

@@ -304,7 +304,22 @@ class TestDesignTools:
         design_save(make_design(DesignVariant.BLOCK_GFP, 7, 100), cache)
         assert run(["--verify-design", str(cache)]) == 0
         rep = parse_report(capsys)
+        assert rep["overlap_checked"] == "true"
         assert int(rep["overlap_worst_sum"]) <= 100
+
+    # t = 37 is the largest gfp t within OVERLAP_MAX_T = 40, and 41 the next
+    @pytest.mark.parametrize("t_req, m, checked", [
+        (37, 8, True), (41, 8, False), (7, 4097, False),
+    ], ids=["t-within", "t-past", "m-past"])
+    def test_verify_reports_whether_overlap_checked(self, t_req, m, checked,
+                                                    tmp_path, capsys):
+        cache = tmp_path / "design.twd"
+        design_save(make_design(DesignVariant.GFP, t_req, m), cache)
+        assert run(["--verify-design", str(cache)]) == 0
+        rep = parse_report(capsys)
+        assert rep["verified"] == "true"
+        assert rep["overlap_checked"] == ("true" if checked else "false")
+        assert ("overlap_worst_sum" in rep) is checked
 
     def test_corrupted_cache_exits_4(self, tmp_path):
         cache = tmp_path / "design.twd"
@@ -316,10 +331,13 @@ class TestDesignTools:
         assert run(["--verify-design", str(cache)]) == 4
 
     def test_bad_design_exits_5(self, tmp_path, capsys):
-        good = make_design(DesignVariant.GFP, 11, 8)
-        rows = [good.compute_Si(i) for i in range(8)]
+        # m > t: degree 1, so every row is a list the test may change
+        good = make_design(DesignVariant.GFP, 11, 20)
+        rows = [good.compute_Si(i) for i in range(20)]
         rows[3][0] = rows[3][1]  # duplicate element: |S_3| < t
-        bad = LoadedBasicDesign(DesignVariant.GFP, good.t_act, 8, good.d, rows)
+        bad = LoadedBasicDesign(DesignVariant.GFP, good.t_act, 20, good.d, rows)
+        with pytest.raises(TypeError):  # degree-0 rows are ranges
+            make_design(DesignVariant.GFP, 11, 8).compute_Si(3)[0] = 0
         cache = tmp_path / "bad.twd"
         design_save(bad, cache)
         assert run(["--verify-design", str(cache)]) == 5

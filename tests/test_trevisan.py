@@ -119,6 +119,31 @@ class TestSliceSubseed:
         with pytest.raises(IndexError):
             slice_subseed(BitBuffer(4, 0b1111), indices)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([8, 16, 24, 32, 40]), st.integers(1, 40)),
+           st.integers(0, 300), st.integers(0, 40), st.integers(0, 15),
+           st.randoms(use_true_random=False))
+    def test_range_matches_list_path(self, step, length, start, slack, rnd):
+        # slack puts the seed's end anywhere in a byte past the last position
+        r = range(start, start + step * length, step)
+        bits = (r[-1] if r else start) + 1 + slack
+        seed = BitBuffer(bits, rnd.getrandbits(bits))
+        assert slice_subseed(seed, r) == slice_subseed(seed, list(r))
+        assert (slice_subseed(seed, r[::-1])
+                == slice_subseed(seed, list(r)[::-1]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 300), st.integers(0, 40),
+           st.integers(1, 16))
+    def test_range_past_seed_end_raises(self, step, length, start, short):
+        # the last position lies in the seed's padding or past its buffer
+        r = range(start, start + step * length, step)
+        seed = BitBuffer(max(0, r[-1] + 1 - short))
+        with pytest.raises(IndexError):
+            slice_subseed(seed, list(r))
+        with pytest.raises(IndexError):
+            slice_subseed(seed, r)
+
 
 def _extractors(family: str, n: int):
     """Extractors of one family on n input bits, small enough for the

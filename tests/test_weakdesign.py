@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import random
 import struct
 import threading
 import tracemalloc
@@ -10,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trevex.bitext import LuExtractor, RshExtractor, XorExtractor
 from trevex.finfield import next_prime
 from trevex.params import TWO_E, InfeasibleParameters, RKind
 from trevex.weakdesign import (BasicDesign, BlockDesign, DesignFormatError, DesignVariant,
                                block_partition, degree_bound, design_d,
                                design_load, design_save, make_design, round_t)
-from trevex.verify import _naive_basic_row
+from trevex.trevisan import ExtractionJob, extract_all
+from trevex.verify import _naive_basic_row, naive_extract
+
+from conftest import rand_buf
 
 
 class TestRounding:
@@ -64,7 +69,7 @@ class TestBasicDesign:
     def test_rows_match_naive_oracle(self, t, m, c):
         d = BasicDesign(t, m)
         assert d.c == c
-        assert ([d.compute_Si(i) for i in range(m)]
+        assert ([list(d.compute_Si(i)) for i in range(m)]
                 == [_naive_basic_row(d, i) for i in range(m)])
 
     def test_purity(self):
@@ -138,10 +143,14 @@ class TestBlockDesign:
         assert [bd.compute_Si(i) for i in range(19, -1, -1)] == rows[::-1]
 
     def test_caller_cannot_corrupt_cache(self):
-        bd = BlockDesign(7, 20)
-        row = bd.compute_Si(0)
+        # m_0 = 9 > t basic rows: degree 1, so row 7 (p(x) = x) is a list
+        bd = BlockDesign(7, 50)
+        row = bd.compute_Si(7)
         row[0] = 999
-        assert bd.compute_Si(0)[0] != 999
+        assert bd.compute_Si(7)[0] != 999
+        # a degree-0 design serves its rows as ranges, which are immutable
+        with pytest.raises(TypeError):
+            BlockDesign(7, 20).compute_Si(0)[0] = 999
 
 
 class TestDesignD:
@@ -197,7 +206,7 @@ class TestDiskCache:
         assert loaded.d == design.d
         assert loaded.variant is design.variant
         for i in range(20):
-            assert loaded.compute_Si(i) == design.compute_Si(i)
+            assert list(loaded.compute_Si(i)) == list(design.compute_Si(i))
 
     @pytest.mark.parametrize("cls, t, variant", [
         (BasicDesign, 7, DesignVariant.GFP),
@@ -212,7 +221,7 @@ class TestDiskCache:
         loaded = design_load(path)
         assert loaded.variant is variant
         for i in range(20):
-            assert loaded.compute_Si(i) == design.compute_Si(i)
+            assert list(loaded.compute_Si(i)) == list(design.compute_Si(i))
 
     def test_loaded_round_trip_again(self, tmp_path):
         design = make_design(DesignVariant.BLOCK_GFP, 7, 20)
@@ -353,17 +362,60 @@ class TestDiskCache:
         writer.join(timeout=10)
         assert not writer.is_alive()
         for i in range(20):
-            assert loaded.compute_Si(i) == design.compute_Si(i)
+            assert list(loaded.compute_Si(i)) == list(design.compute_Si(i))
 
     @pytest.mark.parametrize("variant", [DesignVariant.GFP,
                                          DesignVariant.BLOCK_GFP])
     def test_loaded_rows_are_fresh_lists(self, variant, tmp_path):
+        # m > t: row 7 is p(x) = x in both (for block-gfp, in block 0)
         path = tmp_path / "design.twd"
-        design_save(make_design(variant, 7, 20), path)
+        design_save(make_design(variant, 7, 50), path)
         loaded = design_load(path)
-        row = loaded.compute_Si(0)
+        row = loaded.compute_Si(7)
         row[0] = 999
-        assert loaded.compute_Si(0)[0] != 999
+        assert loaded.compute_Si(7)[0] != 999
+        # row 0 is the progression {7x}, served as an immutable range
+        with pytest.raises(TypeError):
+            loaded.compute_Si(0)[0] = 999
+
+    @staticmethod
+    def _planted_basic_cache(path, rows: dict[int, list[int]]):
+        """A degree-0 gfp cache (t = 11, m = 8) with the given rows
+        replaced and its CRC recomputed."""
+        design_save(make_design(DesignVariant.GFP, 11, 8), path)
+        data = bytearray(path.read_bytes())
+        for k, row in rows.items():
+            at = 29 + 4 * 11 * k  # magic, variant, (t, m, d)
+            data[at:at + 44] = struct.pack("<11I", *row)
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+        path.write_bytes(bytes(data))
+        return design_load(path)
+
+    @pytest.mark.parametrize("family", ["xor", "rsh", "lu"])
+    def test_loaded_rows_are_never_replaced(self, family, tmp_path):
+        # row 3: p(x) = x + 3, no progression; row 5: the progression {11x + 2}
+        affine = BasicDesign(11, 20).compute_Si(14)
+        assert affine != list(range(3, 124, 11))
+        loaded = self._planted_basic_cache(
+            tmp_path / "design.twd", {3: affine, 5: list(range(2, 123, 11))})
+        row = loaded.compute_Si(3)
+        assert type(row) is list and row == affine
+        row = loaded.compute_Si(5)
+        assert type(row) is range and row == range(2, 123, 11)
+        extractor = {"xor": XorExtractor(64, 1), "rsh": RshExtractor(64, 2),
+                     "lu": LuExtractor(64, 1, 2)}[family]
+        rng = random.Random(3)
+        job = ExtractionJob(input=rand_buf(rng, 64), seed=rand_buf(rng, 121),
+                            design=loaded, extractor=extractor, m=8)
+        assert extract_all(job) == naive_extract(job)
+
+    def test_row_past_u32_is_no_progression(self, tmp_path):
+        # The progression from 2**32 - 50 wraps its last six lanes.
+        wrapped = [(2**32 - 50 + 11 * x) % 2**32 for x in range(11)]
+        loaded = self._planted_basic_cache(tmp_path / "design.twd",
+                                           {6: wrapped})
+        row = loaded.compute_Si(6)
+        assert type(row) is list and row == wrapped
 
     def test_block_cache_smaller_than_explicit_dump(self, tmp_path):
         design = make_design(DesignVariant.BLOCK_GFP, 7, 100)
