@@ -60,7 +60,9 @@ def build_parser() -> _Parser:
     p.add_argument("--output", help="output file")
     p.add_argument("--save-design", help="write the design cache here")
     p.add_argument("--load-design", help="reuse a design cache file")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default: 1); the output is "
+                   "the same for any count")
     p.add_argument("--dry-run", action="store_true",
                    help="report derived parameters, no extraction")
     p.add_argument("--gen-design", action="store_true",
@@ -221,6 +223,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         if args.verify_design:
             return run_verify_design(args)
         if args.gen_design:

@@ -5,15 +5,20 @@ extractor.prepare(input) and subseed_i is the seed restricted to S_i, as an
 int.  extract_all parses the input once per call and holds the prepared value
 only for the length of the call; the extractor keeps nothing, so a later call
 sees the input's current contents.  Bits are sharded contiguously across
-worker processes.  Each worker receives the job and the prepared input
-through the pool initializer (under fork they are inherited, not pickled)
-and owns its design row cache; results land in disjoint bit ranges, so the
-output is byte-identical for any worker count.
+processes: the caller computes the first shard itself, and each other shard
+is computed by a child forked from the caller, which inherits the job and
+the prepared input (nothing is pickled on the way in) and writes its packed
+bits back through a pipe.  Each process first moves itself onto a CPU of its
+own, without staying pinned there.  Shards land in disjoint bit ranges, so
+the output is byte-identical for any worker count; no job state lives at
+module level.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import signal
 from dataclasses import dataclass
 
 
@@ -147,18 +152,90 @@ def _extract_range(job: ExtractionJob, prepared, lo: int, hi: int) -> int:
     return out
 
 
-# Set by _init_worker in each pool worker process; never in the caller's.
-_worker_job: tuple[ExtractionJob, object] | None = None
+def _start_on_cpu(cpus: list[int], k: int) -> None:
+    """Move the calling process onto cpus[k % len(cpus)], then allow it all
+    of cpus again: a fan-out process starts on a CPU of its own, where the
+    scheduler tends to leave it, but is not pinned there."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        finally:
+            os.sched_setaffinity(0, cpus)
 
 
-def _init_worker(job: ExtractionJob, prepared) -> None:
-    global _worker_job
-    _worker_job = (job, prepared)
+def _shard_child(job: ExtractionJob, prepared, lo: int, hi: int, pipe,
+                 cpus: list[int], k: int) -> None:
+    """Body of forked worker k: write to the pipe a zero byte and bits
+    [lo, hi) as (hi-lo+7)//8 little-endian bytes, or a one byte and the
+    pickled exception that computing them raised; then exit at once, never
+    returning into the caller's stack."""
+    status = 1
+    try:
+        r, w = pipe
+        os.close(r)
+        _start_on_cpu(cpus, k)
+        try:
+            part = _extract_range(job, prepared, lo, hi)
+            payload = b"\0" + part.to_bytes((hi - lo + 7) // 8, "little")
+        except BaseException as exc:
+            import pickle
+            payload = b"\1" + pickle.dumps(exc)
+        with open(w, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _worker(bounds: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = bounds
-    return lo, _extract_range(*_worker_job, lo, hi)
+def _read_shard(reader, pid: int, lo: int, hi: int) -> int:
+    """The bits a worker wrote by _shard_child; its exception is raised."""
+    nbytes = (hi - lo + 7) // 8
+    data = reader.read(1 + nbytes)
+    if data[:1] == b"\1":
+        import pickle
+        raise pickle.loads(data[1:] + reader.read())
+    if data[:1] != b"\0" or len(data) != 1 + nbytes:
+        raise RuntimeError(f"fan-out worker {pid} for bits [{lo}, {hi}) "
+                           f"ended without a result")
+    return int.from_bytes(data[1:], "little")
+
+
+def _fan_out(job: ExtractionJob, prepared, bounds) -> int:
+    """Bits of every shard in bounds, merged.  Each shard after the first is
+    computed by a forked child and sent back through a pipe; the caller
+    computes the first meanwhile.  However the call ends, every child is
+    reaped (killed first if still running) and every pipe closed."""
+    cpus = (sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_setaffinity") else [])
+    running = {}  # pid -> (pipe reader, lo, hi) of each child not yet read
+    try:
+        for k, (lo, hi) in enumerate(bounds[1:], 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _shard_child(job, prepared, lo, hi, (r, w), cpus, k)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            running[pid] = (open(r, "rb"), lo, hi)
+        _start_on_cpu(cpus, 0)
+        value = _extract_range(job, prepared, *bounds[0])
+        for pid, (reader, lo, hi) in list(running.items()):
+            with reader:
+                part = _read_shard(reader, pid, lo, hi)
+            # Read in full, so the child is exiting on its own.
+            del running[pid]
+            os.waitpid(pid, 0)
+            value |= part << lo
+        return value
+    finally:
+        for pid, (reader, _, _) in running.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def extract_all(job: ExtractionJob) -> BitBuffer:
@@ -177,12 +254,4 @@ def extract_all(job: ExtractionJob) -> BitBuffer:
         return BitBuffer(m, _extract_range(job, prepared, 0, m))
     chunk = -(-m // workers)
     bounds = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
-    import multiprocessing  # only a fan-out pays for the import
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers, initializer=_init_worker,
-                  initargs=(job, prepared)) as pool:
-        parts = pool.map(_worker, bounds)
-    value = 0
-    for lo, part in parts:
-        value |= part << lo
-    return BitBuffer(m, value)
+    return BitBuffer(m, _fan_out(job, prepared, bounds))

@@ -145,6 +145,16 @@ class TestUsageErrors:
     def test_missing_files_for_extract(self):
         assert run(RSH_ARGS + ["-m", "64"]) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        out = tmp_path / "out.bin"
+        assert run(RSH_ARGS + ["-m", "64", "--input", str(tmp_path / "in"),
+                               "--seed", str(tmp_path / "seed"),
+                               "--output", str(out), "--threads",
+                               threads]) == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExtract:
     def _files(self, tmp_path, n_bytes, seed_bytes, seed=1234):

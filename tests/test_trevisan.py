@@ -1,8 +1,9 @@
 import hashlib
-import multiprocessing
+import os
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,40 @@ def _extractors(family: str, n: int):
                      st.integers(1, 6))
 
 
+class _FaultyDesign:
+    """A design that calls fault(i) before it gives row i."""
+
+    def __init__(self, design, fault):
+        self.design, self.fault = design, fault
+        self.d, self.t_act = design.d, design.t_act
+
+    def compute_Si(self, i):
+        self.fault(i)
+        return self.design.compute_Si(i)
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                reason="counts fds and processes in /proc")
+
+
+def _fan_out_state() -> tuple[int, set[int]]:
+    """The number of this process's open fds, and the pids of its child
+    processes, running or not yet reaped."""
+    me = str(os.getpid())
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # the process ended meanwhile
+            continue
+        if stat.rsplit(")", 1)[1].split()[1] == me:
+            children.add(int(entry))
+    return len(os.listdir("/proc/self/fd")), children
+
+
 class TestExtractAll:
     def test_single_bit_degenerate(self, rng):
         ext = XorExtractor(64, 3)
@@ -207,22 +242,95 @@ class TestExtractAll:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_worker_handoff_under_spawn(self, rng):
-        """The pool initializer hands workers their job; nothing relies on
-        fork copying the caller's memory."""
-        ctx = multiprocessing.get_context("spawn")
-        for family in FAMILIES:
-            job = rand_job(rng, family)
-            prepared = job.extractor.prepare(job.input)
-            half = job.m // 2
-            with ctx.Pool(processes=2, initializer=trevisan._init_worker,
-                          initargs=(job, prepared)) as pool:
-                parts = pool.map_async(trevisan._worker,
-                                       [(0, half), (half, job.m)]).get(120)
-            value = 0
-            for lo, part in parts:
-                value |= part << lo
-            assert BitBuffer(job.m, value) == extract_all(job)
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_caller_affinity_unchanged(self, rng):
+        """The caller moves itself onto a CPU for its shard, and is allowed
+        all of its CPUs again afterwards."""
+        job = rand_job(rng, "rsh")
+        want = extract_all(job)
+        job.workers = 2
+        before = os.sched_getaffinity(0)
+        assert extract_all(job) == want
+        assert os.sched_getaffinity(0) == before
+
+    @needs_proc
+    def test_shards_past_the_pipe_buffer_merge(self, rng, monkeypatch):
+        """At m = 2^21 + 3 each of 3 shards is 87,382 bytes, more than a
+        64 KiB pipe buffer holds, so each child blocks in its write until
+        the caller, done with its own shard, reads it."""
+        job = rand_job(rng, "xor", workers=3)
+        job.m = (1 << 21) + 3
+        chunk = -(-job.m // 3)
+        assert (chunk + 7) // 8 > 1 << 16
+
+        def shard(job, prepared, lo, hi):
+            return random.Random(lo).getrandbits(hi - lo)
+
+        want = 0
+        for lo in range(0, job.m, chunk):
+            want |= shard(job, None, lo, min(lo + chunk, job.m)) << lo
+        monkeypatch.setattr(trevisan, "_extract_range", shard)
+        before = _fan_out_state()
+        assert extract_all(job) == BitBuffer(job.m, want)
+        assert _fan_out_state() == before
+
+    @needs_proc
+    def test_worker_error_reaches_the_caller(self, rng):
+        job = rand_job(rng, "xor", workers=2)
+        half = -(-job.m // 2)
+
+        def fault(i):
+            if i >= half:
+                raise ValueError(f"row {i} refused")
+
+        job.design = _FaultyDesign(job.design, fault)
+        before = _fan_out_state()
+        with pytest.raises(ValueError, match=f"^row {half} refused$") as info:
+            extract_all(job)
+        assert type(info.value) is ValueError
+        assert _fan_out_state() == before
+
+    @needs_proc
+    def test_worker_without_result(self, rng):
+        job = rand_job(rng, "lu", workers=2)
+        half = -(-job.m // 2)
+
+        def fault(i):
+            if i >= half:
+                os._exit(3)
+
+        job.design = _FaultyDesign(job.design, fault)
+        before = _fan_out_state()
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            extract_all(job)
+        assert _fan_out_state() == before
+
+    @needs_proc
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_caller_error_kills_workers(self, rng, error):
+        """The caller's shard fails at once while its worker sleeps: the
+        worker is killed and reaped before the error propagates."""
+        job = rand_job(rng, "rsh", workers=2)
+        half = -(-job.m // 2)
+
+        def fault(i):
+            if i == 0:
+                raise error("caller's row 0")
+            if i == half:
+                time.sleep(120)
+
+        job.design = _FaultyDesign(job.design, fault)
+        before = _fan_out_state()
+        affinity = (os.sched_getaffinity(0)
+                    if hasattr(os, "sched_getaffinity") else None)
+        start = time.perf_counter()
+        with pytest.raises(error, match="^caller's row 0$"):
+            extract_all(job)
+        assert time.perf_counter() - start < 60
+        assert _fan_out_state() == before
+        if affinity is not None:
+            assert os.sched_getaffinity(0) == affinity
 
     def test_insufficient_seed(self, rng):
         ext = XorExtractor(64, 3)
