@@ -125,6 +125,30 @@ def test_one_lu_extract_per_output_bit(monkeypatch):
     assert len(calls) == job.m
 
 
+def test_one_rsh_extract_per_output_bit(monkeypatch, tmp_path):
+    """``--trace 1`` times the one-bit extractor by wrapping each
+    extractor class's ``extract``, and the input's parsing by wrapping
+    ``RshExtractor.prepare``; on an ``rsh-block``-shaped job every output
+    bit's evaluation must run in one ``extract`` call, after one
+    ``prepare`` per run."""
+    calls = {"prepare": 0, "extract": 0}
+    prepare, extract = bitext.RshExtractor.prepare, bitext.RshExtractor.extract
+
+    def counting_prepare(self, input):
+        calls["prepare"] += 1
+        return prepare(self, input)
+
+    def counting_extract(self, prepared, subseed):
+        calls["extract"] += 1
+        return extract(self, prepared, subseed)
+
+    monkeypatch.setattr(bitext.RshExtractor, "prepare", counting_prepare)
+    monkeypatch.setattr(bitext.RshExtractor, "extract", counting_extract)
+    job = _degree_zero_job("rsh-block", tmp_path)
+    extract_all(job)
+    assert calls == {"prepare": 1, "extract": job.m}
+
+
 def _degree_zero_job(shape: str, tmp_path) -> ExtractionJob:
     """A small job of the ``lu-cached`` shape (a loaded gfp cache) or the
     ``rsh-block`` shape (a computed block-gfp design), both with m <= t

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from trevex.bitext import (LU_NEIGHBOR_RULES, LuExtractor, RshExtractor,
                            XorExtractor, from_params)
 from trevex.finfield import BinaryField, find_irreducible
 from trevex.trevisan import BitBuffer, ExtractionJob, extract_all
+from trevex.verify import naive_extract
 from trevex.weakdesign import DesignVariant, make_design
 
 from conftest import (FAMILIES, field_pow, ones, rand_bits, rand_buf,
@@ -113,7 +116,10 @@ class TestRsh:
         ext = RshExtractor(10, 8)
         assert ext.s == 2
         x = buf_from_bits([0] * 8 + [1, 1])
-        assert ext.prepare(x)[1] == 0b11
+        assert ext.coefficients(x)[1] == 0b11
+        # bits past the s blocks are not read
+        longer = buf_from_bits([0] * 8 + [1, 1] + [0] * 7 + [1])
+        assert ext.coefficients(longer) == (0, 0b11)
 
     def test_linearity(self, rng):
         ext = RshExtractor(100, 8)
@@ -147,8 +153,9 @@ class TestNoHiddenState:
         prepared = ext.prepare(x)
         if family == "rsh":
             assert isinstance(prepared, tuple)
-            assert prepared == tuple(x.get_bits(i * ext.l, ext.l)
-                                     for i in range(ext.s))
+            assert all(isinstance(column, tuple) for column in prepared)
+            assert ext.coefficients(x) == tuple(x.get_bits(i * ext.l, ext.l)
+                                                for i in range(ext.s))
         else:
             assert isinstance(prepared, bytes)
             assert prepared == x.to_bytes()
@@ -193,21 +200,84 @@ def _mul_horner_bits(field, coeffs, alpha):
     return r
 
 
-@pytest.mark.parametrize("l", [1, 2, 3, 7, 8, 9, 16, 31, 50, 63, 64])
+def _read_out(ext, prepared, alpha):
+    """The field value p(alpha) behind ``extract``, read bit by bit through
+    unit beta vectors."""
+    return sum(ext.extract(prepared, alpha | 1 << ext.l + j) << j
+               for j in range(ext.l))
+
+
+def _job_with_subseeds(rng, ext, x, subs) -> ExtractionJob:
+    """A job whose output bit i is ext's bit for subseed subs[i]: a degree-0
+    gfp design has disjoint rows, so the seed can spell out each subseed."""
+    m = len(subs)
+    design = make_design(DesignVariant.GFP, max(ext.t_req, m), m)
+    rows = [design.compute_Si(i)[:ext.t_req] for i in range(m)]
+    assert len({pos for row in rows for pos in row}) == m * ext.t_req
+    seed = rand_buf(rng, design.d)
+    for row, sub in zip(rows, subs):
+        for j, pos in enumerate(row):
+            seed.set_bit(pos, sub >> j & 1)
+    return ExtractionJob(input=x, seed=seed, design=design, extractor=ext, m=m)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 50, 63, 64])
 def test_table_horner_matches_field_mul(rng, l):
-    """Every bit of the table-driven Horner value, read out through unit
-    beta vectors, equals the Horner value computed with BinaryField.mul."""
-    ext = RshExtractor(7 * l + l // 2 + 1, l)
+    """Every bit of the value ``extract`` evaluates, read out through unit
+    beta vectors, equals the Horner value computed with BinaryField.mul,
+    and its bit for a random beta equals ``verify.naive_extract``'s.  The
+    sizes are s = 8 and s = 0, 1, 2, k^2 - 1, k^2, k^2 + 1, around the
+    squares, where B*G - s, the number of the B = ceil(sqrt(s)) packed
+    columns whose top slot stays empty, runs from 0 to B - 1."""
     field = find_irreducible(l)
-    alphas = [0, 1, (1 << l) - 1] + [rng.randrange(1 << l) for _ in range(4)]
-    for alpha in alphas:
-        for x in (rand_buf(rng, ext.n), BitBuffer(ext.n, (1 << ext.n) - 1)):
-            coeffs = ext.prepare(x)
-            want = _mul_horner_bits(field, coeffs, alpha)
-            got = 0
-            for j in range(l):
-                got |= ext.extract(coeffs, alpha | (1 << (l + j))) << j
-            assert got == want, (l, alpha)
+    sizes = [7 * l + l // 2 + 1] + [max(0, s * l - l // 2)
+                                    for s in (0, 1, 2, 15, 16, 17, 24, 25, 26)]
+    for n in sizes:
+        ext = RshExtractor(n, l)
+        alphas = [0, 1, (1 << l) - 1] + [rng.randrange(1 << l) for _ in range(4)]
+        for x in (rand_buf(rng, n), BitBuffer(n, (1 << n) - 1)):
+            prepared, coeffs = ext.prepare(x), ext.coefficients(x)
+            subs = []
+            for alpha in alphas:
+                want = _mul_horner_bits(field, coeffs, alpha)
+                assert _read_out(ext, prepared, alpha) == want, (l, n, alpha)
+                subs.append(alpha | rng.randrange(1 << l) << l)
+            out = naive_extract(_job_with_subseeds(rng, ext, x, subs))
+            assert [out.get_bits(i, 1) for i in range(len(subs))] == [
+                ext.extract(prepared, sub) for sub in subs], (l, n)
+
+
+def test_rsh_block_geometry_matches_horner(rng):
+    """At the ``rsh-block`` geometry (n = 2^16, l = 50: s = 1,311, B = 37,
+    G = 36), 60 random subseeds give the BinaryField.mul Horner's bit,
+    and two of them its every bit."""
+    ext = RshExtractor(1 << 16, 50)
+    assert (ext.s, ext._baby, ext._giant) == (1311, 37, 36)
+    x = rand_buf(rng, ext.n)
+    prepared, coeffs = ext.prepare(x), ext.coefficients(x)
+    for i in range(60):
+        sub = rand_bits(rng, ext.t_req)
+        want = _mul_horner_bits(ext.field, coeffs, sub & (1 << 50) - 1)
+        assert ext.extract(prepared, sub) == (want & sub >> 50).bit_count() & 1
+        if i < 2:
+            assert _read_out(ext, prepared, sub & (1 << 50) - 1) == want
+
+
+def test_rsh_prepared_input_under_one_mib(rng):
+    """The prepared value at n = 2^16, l = 50 (B = 37 columns of 16
+    multiples, about 0.3 MB) stays under 1 MiB; 256 multiples per column
+    would take 4.9 MB, enough to raise the CLI's peak RSS."""
+    ext = RshExtractor(1 << 16, 50)
+    x = rand_buf(rng, ext.n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prepared = ext.prepare(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(prepared) == 37
+    assert held < 1 << 20, held
 
 
 class TestLuNeighborRules:
