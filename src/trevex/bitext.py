@@ -66,13 +66,11 @@ _HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
 def _times(tables, r: int) -> int:
     """r * alpha mod f, by the nibble tables of alpha from
     RshExtractor._tables."""
-    (t0, t1, t2, t3, t4, t5, t6, t7,
-     t8, t9, t10, t11, t12, t13, t14, t15) = tables
-    return (t0[r & 15] ^ t1[r >> 4 & 15] ^ t2[r >> 8 & 15] ^ t3[r >> 12 & 15]
-            ^ t4[r >> 16 & 15] ^ t5[r >> 20 & 15] ^ t6[r >> 24 & 15]
-            ^ t7[r >> 28 & 15] ^ t8[r >> 32 & 15] ^ t9[r >> 36 & 15]
-            ^ t10[r >> 40 & 15] ^ t11[r >> 44 & 15] ^ t12[r >> 48 & 15]
-            ^ t13[r >> 52 & 15] ^ t14[r >> 56 & 15] ^ t15[r >> 60])
+    p = 0
+    for table in tables:
+        p ^= table[r & 15]
+        r >>= 4
+    return p
 
 
 class RshExtractor:
@@ -97,10 +95,10 @@ class RshExtractor:
     mod f of all slots together, and G Horner steps in alpha^B: at that
     geometry 37 + 36 multiplications in place of 1,311.
 
-    A multiplication by a fixed a takes 16 nibble tables
+    A multiplication by a fixed a takes ceil(l/4) nibble tables
     T_j[b] = (b * x^(4j)) * a mod f, built from the l products x^k * a
     (Shoup's tables for a fixed multiplier, as in GHASH), and is
-    r * a = T_0[r & 15] ^ T_1[r >> 4 & 15] ^ ... ^ T_15[r >> 60].
+    r * a = T_0[r & 15] ^ T_1[r >> 4 & 15] ^ ... over the nibbles of r.
     """
 
     def __init__(self, n: int, l: int):
@@ -147,8 +145,7 @@ class RshExtractor:
         return tuple(out)
 
     def _tables(self, alpha: int) -> list[tuple[int, ...]]:
-        """Sixteen nibble tables of multiplication by alpha; tables past
-        ceil(l/4) are (0,), as r has no bits there."""
+        """The ceil(l/4) nibble tables of multiplication by alpha."""
         l, f = self.l, self.field.poly
         top = 1 << l
         shifted = []  # x^k * alpha mod f, k < l, then zeros to a nibble
@@ -164,24 +161,25 @@ class RshExtractor:
             ab, cd = a ^ b, c ^ d
             tables.append((0, a, b, ab, c, a ^ c, b ^ c, ab ^ c, d, a ^ d,
                            b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd))
-        return tables + [(0,)] * (16 - len(tables))
+        return tables
 
     def extract(self, prepared: tuple[tuple[int, ...], ...],
                 subseed: int) -> int:
         l, w = self.l, self._slot
         mask = (1 << l) - 1
+        size = -(-l // 8)
         tables = self._tables(subseed & mask)
-        powers = []  # alpha^0 ... alpha^(B-1) as 8 bytes; r ends at alpha^B
+        powers = []  # alpha^0 ... alpha^(B-1) in size bytes; r ends at alpha^B
         r = 1
         for _ in range(self._baby):
-            powers.append(r.to_bytes(8, "little"))
+            powers.append(r.to_bytes(size, "little"))
             r = _times(tables, r)
         # Every Q_g at once, unreduced in slot g: the nibble at bit k of
         # alpha^r picks one multiple of packed column r, shifted by k.
         power_bytes = b"".join(powers)
         q = 0
         for k in range(0, l, 8):
-            byte = power_bytes[k >> 3::8]
+            byte = power_bytes[k >> 3::size]
             lows = byte.translate(_LOW_NIBBLE)
             highs = byte.translate(_HIGH_NIBBLE)
             q ^= (reduce(xor, map(getitem, prepared, lows)) << k

@@ -4,9 +4,10 @@ Two kinds of field are provided, for the two shapes of weak-design order t
 (a prime or a power of two):
 
 * :class:`PrimeField` -- GF(p) for prime p below 2**61.
-* :class:`BinaryField` -- GF(2**l) for 1 <= l <= 64, with a deterministic
-  irreducible polynomial (smallest trinomial, else smallest pentanomial) so
-  that extraction output is reproducible across builds.
+* :class:`BinaryField` -- GF(2**l) for 1 <= l <= 64.  Its modulus is read
+  from a pinned table (the smallest irreducible trinomial, else the
+  smallest pentanomial), so extraction output is reproducible across
+  builds; a test checks the table against an independent search.
 
 All contexts are immutable after construction and safe to share across
 workers.
@@ -102,79 +103,35 @@ class PrimeField:
         return acc
 
 
-# --- GF(2) polynomial helpers (bitmask representation) ---
-
-def _gf2_poly_mod(a: int, b: int) -> int:
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def _gf2_poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_poly_mod(a, b)
-    return a
-
-
-# (shift, mask) steps that move bit i of a 64-bit value to bit 2i, which
-# squares a GF(2) polynomial of degree < 64.
-_SPREAD = tuple((k, sum(((1 << k) - 1) << (2 * k * j) for j in range(64 // k)))
-                for k in (32, 16, 8, 4, 2, 1))
-
-
-def gf2_irreducible(poly: int) -> bool:
-    """Ben-Or irreducibility test for a GF(2) polynomial bitmask of degree
-    1..64: poly of degree l is irreducible iff gcd(poly, x^(2^i) - x) = 1
-    for every i <= l/2.  A reducible poly fails at i = the degree of its
-    smallest factor, so most candidates are rejected after a few squarings.
-    Squaring spreads the bits, then folds x^l = poly - x^l back in, which is
-    cheap for the sparse moduli searched here."""
-    l = poly.bit_length() - 1
-    if l < 1:
-        return False
-    if l > 64:
-        raise ValueError(f"degree {l} above 64")
-    mask = (1 << l) - 1
-    tail = [e for e in range(l) if poly >> e & 1]
-    u = 0b10  # x^(2^i) mod poly
-    for _ in range(l // 2):
-        for k, spread in _SPREAD:
-            u = (u | u << k) & spread
-        while u > mask:
-            high = u >> l
-            u &= mask
-            for e in tail:
-                u ^= high << e
-        if _gf2_poly_gcd(poly, u ^ 0b10) != 1:
-            return False
-    return True
+# The modulus of GF(2**l) for l = 1 ... 64, at index l - 1: the smallest
+# irreducible trinomial x^l + x^a + 1 by bitmask value, else the smallest
+# pentanomial, and x + 1 for l = 1.  It fixes every RSH output bit.
+# tests/test_finfield.py regenerates the table with the independent search
+# in perfbench/reference.py.
+_MODULI = (
+    0x3, 0x7, 0xb, 0x13, 0x25, 0x43, 0x83, 0x11b, 0x203, 0x409, 0x805, 0x1009,
+    0x201b, 0x4021, 0x8003, 0x1002b, 0x20009, 0x40009, 0x80027, 0x100009,
+    0x200005, 0x400003, 0x800021, 0x100001b, 0x2000009, 0x400001b, 0x8000027,
+    0x10000003, 0x20000005, 0x40000003, 0x80000009, 0x10000008d, 0x200000401,
+    0x400000081, 0x800000005, 0x1000000201, 0x2000000053, 0x4000000063,
+    0x8000000011, 0x10000000039, 0x20000000009, 0x40000000081, 0x80000000059,
+    0x100000000021, 0x20000000001b, 0x400000000003, 0x800000000021,
+    0x100000000002d, 0x2000000000201, 0x400000000001d, 0x800000000004b,
+    0x10000000000009, 0x20000000000047, 0x40000000000201, 0x80000000000081,
+    0x100000000000095, 0x200000000000011, 0x400000000080001, 0x800000000000095,
+    0x1000000000000003, 0x2000000000000027, 0x4000000020000001,
+    0x8000000000000003, 0x1000000000000001b,
+)
 
 
+# The cache keeps one BinaryField per l; the benchmark's traced run clears
+# it (find_irreducible.cache_clear) to time a cold field construction.
 @lru_cache(maxsize=None)
 def find_irreducible(l: int) -> "BinaryField":
-    """Deterministic irreducible polynomial of degree l, 1 <= l <= 64.
-
-    Picks the smallest (by bitmask value) irreducible trinomial
-    x^l + x^a + 1; if no trinomial of degree l exists, the smallest
-    pentanomial.
-    """
-    if not 1 <= l <= 64:
-        raise ValueError(f"degree l={l} outside [1, 64]")
-    if l == 1:
-        return BinaryField(1, 0b11)  # x + 1; no weight-3 polynomial exists
-    top = (1 << l) | 1
-    for a in range(1, l):
-        cand = top | (1 << a)
-        if gf2_irreducible(cand):
-            return BinaryField(l, cand)
-    for c in range(3, l):
-        for b in range(2, c):
-            for a in range(1, b):
-                cand = top | (1 << c) | (1 << b) | (1 << a)
-                if gf2_irreducible(cand):
-                    return BinaryField(l, cand)
-    raise ValueError(f"no weight-3/5 irreducible of degree {l}")  # unreachable
+    """GF(2**l) with the pinned modulus of degree l, 1 <= l <= 64."""
+    if not 1 <= l <= len(_MODULI):
+        raise ValueError(f"degree l={l} outside [1, {len(_MODULI)}]")
+    return BinaryField(l, _MODULI[l - 1])
 
 
 @dataclass(frozen=True)

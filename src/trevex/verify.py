@@ -117,7 +117,7 @@ def _naive_field_ops(field):
         l, poly = field.l, field.poly
         return (lambda a, b: _naive_binary_mulmod(a, b, l, poly),
                 lambda a, b: a ^ b)
-    raise BudgetExceededError(f"unsupported field {type(field).__name__}")
+    raise TypeError(f"unsupported field {type(field).__name__}")
 
 
 def _naive_basic_row(design: BasicDesign, i: int) -> list[int]:
@@ -153,7 +153,7 @@ def _naive_design_rows(design, m: int) -> list[list[int]]:
     elif isinstance(design, LoadedBlockDesign):
         basic = [list(row) for row in design._basic_rows.raw]
     else:
-        raise BudgetExceededError(f"unsupported design {type(design).__name__}")
+        raise TypeError(f"unsupported design {type(design).__name__}")
     t2 = design.t_act * design.t_act
     rows = []
     for j, mj in enumerate(design.partition.m_list):  # block-sequential
@@ -231,7 +231,7 @@ def _naive_one_bit(extractor, input_bits: list[int], sub_bits: list[int]) -> int
                     else:
                         y = (y - 2 * x - 1) % side
         return bit
-    raise BudgetExceededError(f"unsupported extractor {name}")
+    raise TypeError(f"unsupported extractor {name}")
 
 
 def naive_extract(job: ExtractionJob) -> BitBuffer:

@@ -30,6 +30,12 @@ def test_trace_targets_are_own_attributes():
         assert attr in vars(owner), f"{name}: {owner!r} has no own {attr!r}"
 
 
+def test_field_cache_can_be_cleared():
+    """The traced run clears ``find_irreducible``'s cache to time a cold
+    field construction; the function must stay cached."""
+    assert callable(finfield.find_irreducible.cache_clear)
+
+
 def test_patched_modulus_reaches_new_rsh_extractor(monkeypatch):
     assert bitext.RshExtractor(8, 3).field == BinaryField(3, 0b1011)
     monkeypatch.setattr(bitext, "find_irreducible",

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -286,6 +287,37 @@ class TestLuNeighborRules:
         assert LU_NEIGHBOR_RULES[2](0, 0, 3) == (1, 0)   # x + (y + 1)
         assert LU_NEIGHBOR_RULES[4](1, 1, 3) == (1, 0)   # y + 2x
         assert LU_NEIGHBOR_RULES[6](0, 0, 3) == (0, 1)   # y + (2x + 1)
+
+    def test_rule_table_off_the_axes(self):
+        # At (0, 0) rules 2 and 3 cannot tell x + y + 1 from x + 2y + 1.
+        images = [rule(2, 3, 11) for rule in LU_NEIGHBOR_RULES]
+        assert images == [(8, 3), (7, 3), (6, 3), (9, 3),
+                          (2, 7), (2, 10), (2, 8), (2, 9)]
+
+    @pytest.mark.parametrize("side", [4, 8, 16, 32])
+    def test_walk_second_eigenvalue_within_lambda0(self, side, rng):
+        """Power iteration of the walk operator A/8 on vectors orthogonal to
+        the constants.  A is symmetric (the rules come in inverse pairs), so
+        the Rayleigh quotient converges to the eigenvalue of largest modulus
+        there; lu_params sizes the walk from the bound LAMBDA0 on it."""
+        n = side * side
+        perms = [[x * side + y for x, y in (rule(v // side, v % side, side)
+                                            for v in range(n))]
+                 for rule in LU_NEIGHBOR_RULES]
+        f = [rng.random() for _ in range(n)]
+        quotients = [2.0]
+        for _ in range(2000):
+            mean = sum(f) / n
+            f = [a - mean for a in f]
+            g = [sum(f[p[v]] for p in perms) / 8 for v in range(n)]
+            quotients.append(sum(a * b for a, b in zip(f, g))
+                             / sum(a * a for a in f))
+            if abs(quotients[-1] - quotients[-2]) < 1e-10:
+                break
+            norm = math.sqrt(sum(b * b for b in g))
+            f = [b / norm for b in g]
+        assert abs(quotients[-1] - quotients[-2]) < 1e-10, quotients[-3:]
+        assert abs(quotients[-1]) <= params.LAMBDA0
 
     def test_inverse_pairs(self, rng):
         for _ in range(100):

@@ -1,13 +1,19 @@
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trevex.finfield import (BinaryField, PrimeField, field_for_order,
-                             find_irreducible, gf2_irreducible, is_prime,
-                             next_prime)
+                             find_irreducible, is_prime, next_prime)
 from trevex.weakdesign import BasicDesign
 
 from conftest import field_pow
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import reference  # noqa: E402
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -148,13 +154,21 @@ class TestFindIrreducible:
                 cand = (1 << l) | (1 << a) | 1
                 if cand >= poly:
                     break
-                assert not gf2_irreducible(cand)
+                assert not naive_gf2_irreducible(cand)
 
     def test_pinned_moduli(self):
         # The modulus fixes every RSH output bit; these are the polynomials
         # the search returned when output reproducibility was first pinned.
         got = {l: find_irreducible(l).poly for l in range(1, 65)}
         assert got == PINNED_MODULI
+
+    def test_table_matches_reference_search(self):
+        # perfbench/reference.py searches trinomials, then pentanomials,
+        # with its own Ben-Or test; its first hit must be the pinned modulus.
+        assert find_irreducible(1).poly == 0b11
+        for l in range(2, 65):
+            first = next(reference.irreducibles(l))
+            assert find_irreducible(l).poly == first, l
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

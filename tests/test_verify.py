@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from trevex.trevisan import extract_all
@@ -70,4 +72,21 @@ class TestNaiveExtract:
         job = rand_job(rng, "xor", n_max=64, m_max=16)
         job.m = (1 << 12) + 1
         with pytest.raises(BudgetExceededError):
+            naive_extract(job)
+
+    def test_unsupported_types_raise_type_error(self, rng):
+        """A type the oracle does not model is a TypeError, never mistaken
+        for a job beyond its budget."""
+        job = rand_job(rng, "xor", n_max=64, m_max=16)
+        design, extractor = job.design, job.extractor
+        job.design = FakeDesign([[0, 1]] * job.m)
+        with pytest.raises(TypeError, match="unsupported design"):
+            naive_extract(job)
+        job.design = BasicDesign(7, 4)
+        job.design.field = object()
+        with pytest.raises(TypeError, match="unsupported field"):
+            naive_extract(job)
+        job.design = design
+        job.extractor = SimpleNamespace(t_req=extractor.t_req)
+        with pytest.raises(TypeError, match="unsupported extractor"):
             naive_extract(job)
