@@ -21,6 +21,8 @@ import os
 import signal
 from dataclasses import dataclass
 
+from .weakdesign import serves
+
 
 class InsufficientSeedError(Exception):
     pass
@@ -244,6 +246,9 @@ def extract_all(job: ExtractionJob) -> BitBuffer:
             f"seed has {len(job.seed)} bits, design needs {job.design.d}")
     if job.design.t_act < job.extractor.t_req:
         raise ValueError("design grants fewer seed bits than the extractor needs")
+    if not serves(job.design, job.m):
+        raise ValueError(f"{job.design.variant.name} design of m="
+                         f"{job.design.m} rows does not serve m={job.m}")
     if len(job.input) != job.extractor.n:
         raise ValueError(f"input has {len(job.input)} bits, extractor "
                          f"takes n={job.extractor.n}")

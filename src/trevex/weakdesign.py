@@ -227,6 +227,13 @@ def make_design(variant: DesignVariant, t_req: int, m: int):
     return BasicDesign(t_act, m)
 
 
+def serves(design, m: int) -> bool:
+    """Whether the design's first m rows keep its overlap bound: a block
+    design's only at its own m, since block rows depend on m, and a basic
+    design's at any m up to its own."""
+    return design.m == m if design.variant.is_block else design.m >= m
+
+
 # --- disk cache -----------------------------------------------------------
 #
 # magic "TWD1" | variant u8 | t_act u64 | m u64 | d u64

@@ -314,22 +314,41 @@ class TestDesignTools:
         design_save(make_design(DesignVariant.BLOCK_GFP, 7, 100), cache)
         assert run(["--verify-design", str(cache)]) == 0
         rep = parse_report(capsys)
-        assert rep["overlap_checked"] == "true"
-        assert int(rep["overlap_worst_sum"]) <= 100
+        assert "overlap_checked" not in rep
+        assert rep["overlap_worst_sum"] == "99"
+        assert rep["overlap_bound"] == "100"  # r = 1: the bound is m
 
-    # t = 37 is the largest gfp t within OVERLAP_MAX_T = 40, and 41 the next
-    @pytest.mark.parametrize("t_req, m, checked", [
-        (37, 8, True), (41, 8, False), (7, 4097, False),
+    # Every size is checked in full.  t = 41 and m = 4097 lie past the
+    # t <= 40, m <= 4096 budget an earlier check needed; the worst sums
+    # were computed apart, one mask per row and every pair of rows.
+    @pytest.mark.parametrize("t_req, m, worst, bound", [
+        (37, 8, 7, "43.49256"), (41, 8, 7, "43.49256"),
+        (7, 4097, 10354, "22273.62729"),
     ], ids=["t-within", "t-past", "m-past"])
-    def test_verify_reports_whether_overlap_checked(self, t_req, m, checked,
-                                                    tmp_path, capsys):
+    def test_verify_reports_whether_overlap_checked(self, t_req, m, worst,
+                                                    bound, tmp_path, capsys):
         cache = tmp_path / "design.twd"
         design_save(make_design(DesignVariant.GFP, t_req, m), cache)
         assert run(["--verify-design", str(cache)]) == 0
         rep = parse_report(capsys)
         assert rep["verified"] == "true"
-        assert rep["overlap_checked"] == ("true" if checked else "false")
-        assert ("overlap_worst_sum" in rep) is checked
+        assert "overlap_checked" not in rep
+        assert int(rep["overlap_worst_sum"]) == worst
+        assert rep["overlap_bound"] == bound  # 543657*m/100000, exactly
+
+    def test_duplicate_row_past_the_old_budget_exits_5(self, tmp_path, capsys):
+        # t = 41: row 5, a copy of row 4, shares all 41 elements with it
+        good = make_design(DesignVariant.GFP, 41, 64)
+        rows = [good.compute_Si(i) for i in range(64)]
+        rows[5] = list(rows[4])
+        bad = LoadedBasicDesign(DesignVariant.GFP, good.t_act, 64, good.d, rows)
+        cache = tmp_path / "dup.twd"
+        design_save(bad, cache)
+        assert run(["--verify-design", str(cache)]) == 5
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out
+        assert "row 5 overlap sum" in captured.err
+        assert str(2 ** 41 + 4) in captured.err
 
     def test_corrupted_cache_exits_4(self, tmp_path):
         cache = tmp_path / "design.twd"

@@ -164,6 +164,7 @@ class _FaultyDesign:
     def __init__(self, design, fault):
         self.design, self.fault = design, fault
         self.d, self.t_act = design.d, design.t_act
+        self.m, self.variant = design.m, design.variant
 
     def compute_Si(self, i):
         self.fault(i)
@@ -261,6 +262,9 @@ class TestExtractAll:
         the caller, done with its own shard, reads it."""
         job = rand_job(rng, "xor", workers=3)
         job.m = (1 << 21) + 3
+        # a basic design computes no row up front
+        job.design = make_design(DesignVariant.GFP, job.extractor.t_req, job.m)
+        job.seed = rand_buf(rng, job.design.d)
         chunk = -(-job.m // 3)
         assert (chunk + 7) // 8 > 1 << 16
 
@@ -340,6 +344,30 @@ class TestExtractAll:
                             design=design, extractor=ext, m=4)
         with pytest.raises(InsufficientSeedError):
             extract_all(job)
+
+    @pytest.mark.parametrize("variant, design_m, m", [
+        (DesignVariant.BLOCK_GFP, 256, 64), (DesignVariant.GFP, 64, 65),
+    ], ids=["block-built-for-other-m", "basic-with-fewer-rows"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_design_that_does_not_serve_m_is_refused(self, rng, variant,
+                                                      design_m, m, workers):
+        """A block design serves only the m it was built for, and a basic
+        design at most its own m: anything else is refused before any row
+        is computed."""
+        ext = XorExtractor(64, 3)
+        computed = []
+        design = _FaultyDesign(make_design(variant, ext.t_req, design_m),
+                               computed.append)
+        job = ExtractionJob(input=rand_buf(rng, 64),
+                            seed=rand_buf(rng, design.d), design=design,
+                            extractor=ext, m=m, workers=workers)
+        with pytest.raises(ValueError, match=f"m={design_m} rows does not "
+                           f"serve m={m}$"):
+            extract_all(job)
+        assert computed == []
+        job.m = design_m  # the m it was built for is served
+        assert len(extract_all(job)) == design_m
+        assert computed
 
     def test_design_too_small_for_extractor(self, rng):
         ext = XorExtractor(64, 8)  # t_req = 48

@@ -1,10 +1,14 @@
+import random
+import time
 from types import SimpleNamespace
 
 import pytest
 
 from trevex.trevisan import extract_all
 from trevex.verify import BudgetExceededError, naive_extract, overlap_check
-from trevex.weakdesign import BasicDesign, BlockDesign, DesignVariant
+from trevex.params import InfeasibleParameters
+from trevex.weakdesign import (BasicDesign, BlockDesign, DesignVariant,
+                               make_design)
 
 from conftest import FAMILIES, rand_buf, rand_job
 
@@ -54,11 +58,87 @@ class TestOverlapCheck:
         assert rep.passed
         assert rep.worst_sum == 4
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            overlap_check(BasicDesign(41, 4))
-        with pytest.raises(BudgetExceededError):
-            overlap_check(FakeDesign([[0, 1]] * 5000))
+    def test_exact_past_the_old_budget(self):
+        # t = 41 and m = 5000 were past the t <= 40, m <= 4096 budget the
+        # mask pass needed; the one-pass check has none
+        rep = overlap_check(BasicDesign(41, 4))
+        assert (rep.worst_row, rep.worst_sum, rep.passed) == (3, 3, True)
+        rep = overlap_check(FakeDesign([[0, 1]] * 5000))
+        assert (rep.worst_row, rep.worst_sum) == (4999, 4 * 4999)
+        assert not rep.passed
+        assert rep.error == "row 4999 overlap sum 19996 exceeds the r*m bound"
+
+    def test_first_bad_row_ends_the_check(self):
+        rows = [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(6)]
+        rows[4] = [12, 13, 12]
+        rep = overlap_check(FakeDesign(rows))
+        assert not rep.passed and rep.worst_row == 4
+        assert rep.error == "row 4 has 2 distinct elements, want 3"
+        rows[4] = [12, 13, -1]
+        rep = overlap_check(FakeDesign(rows))
+        assert rep.error == "row 4 outside [0, 18)"
+        design = FakeDesign([[0, 1, 2]] * 3)
+        design.d = 2  # element 2 lies past d
+        assert overlap_check(design).error == "row 0 outside [0, 2)"
+
+    def test_xor_gfp_design_pinned(self):
+        """The xor-gfp benchmark workload's design (t_req = 1320,
+        m = 1531), checked in full."""
+        deadline = time.perf_counter() + 30.0
+        rep = overlap_check(make_design(DesignVariant.GFP, 1320, 1531))
+        assert rep.passed and rep.worst_sum == 2851
+        assert (rep.bound_num, rep.bound_den) == (543657 * 1531, 100000)
+        assert time.perf_counter() < deadline, "xor-gfp design check exceeded 30 s"
+
+
+def _mask_overlap(design) -> tuple[int, int]:
+    """(worst_row, worst_sum) restated with one mask per row and every pair
+    of rows, the way criterion 01 states the overlap sum."""
+    masks, worst = [], (0, 0)
+    for i in range(design.m):
+        mask = 0
+        for e in design.compute_Si(i):
+            mask |= 1 << e
+        total = sum(1 << (mask & prev).bit_count() for prev in masks)
+        if total > worst[1]:
+            worst = (i, total)
+        masks.append(mask)
+    return worst
+
+
+class TestOverlapAgreesWithMasks:
+    def test_random_designs_of_every_variant(self):
+        deadline = time.perf_counter() + 60.0
+        rnd = random.Random(17)
+        for variant in DesignVariant:
+            built = 0
+            while built < 10:
+                t_req = rnd.randrange(7 if variant.is_block else 2, 33)
+                try:
+                    design = make_design(variant, t_req, rnd.randrange(1, 601))
+                except InfeasibleParameters:
+                    continue
+                assert design.t_act <= 40
+                rep = overlap_check(design)
+                assert rep.passed
+                assert (rep.worst_row, rep.worst_sum) == _mask_overlap(design)
+                built += 1
+        assert time.perf_counter() < deadline, "mask agreement exceeded 60 s"
+
+    def test_planted_overlaps(self):
+        rnd = random.Random(18)
+        for _ in range(40):
+            t, m = rnd.randrange(1, 12), rnd.randrange(1, 80)
+            d = rnd.randrange(t, 4 * t + 8)
+            rows = [rnd.sample(range(d), t) for _ in range(m)]
+            for _ in range(rnd.randrange(4)):  # copy one row over a later one
+                a = rnd.randrange(m)
+                b = rnd.randrange(a, m)
+                rows[b] = list(rows[a])
+            design = FakeDesign(rows, rnd.choice(list(DesignVariant)))
+            rep = overlap_check(design)
+            assert (rep.worst_row, rep.worst_sum) == _mask_overlap(design)
+            assert rep.passed is (rep.worst_sum * rep.bound_den <= rep.bound_num)
 
 
 class TestNaiveExtract:
