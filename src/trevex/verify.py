@@ -143,17 +143,17 @@ def _naive_basic_row(design: BasicDesign, i: int) -> list[int]:
 
 
 def _naive_design_rows(design, m: int) -> list[list[int]]:
-    """Rows as the construction gives them, or as a loaded cache stores
-    them, never served as ranges."""
+    """Rows as the construction gives them, or as a loaded cache kept them
+    (a stored progression as its range), always as lists."""
     if isinstance(design, BasicDesign):
         return [_naive_basic_row(design, i) for i in range(m)]
     if isinstance(design, LoadedBasicDesign):
-        return [list(design._rows.raw[i]) for i in range(m)]
+        return [list(design._rows[i]) for i in range(m)]
     if isinstance(design, BlockDesign):
         basic = [_naive_basic_row(design._basic, k)
                  for k in range(max(design.partition.m_list))]
     elif isinstance(design, LoadedBlockDesign):
-        basic = [list(row) for row in design._basic_rows.raw]
+        basic = [list(row) for row in design._basic_rows]
     else:
         raise TypeError(f"unsupported design {type(design).__name__}")
     t2 = design.t_act * design.t_act

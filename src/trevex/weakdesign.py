@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 import sys
 import zlib
@@ -240,58 +241,31 @@ def serves(design, m: int) -> bool:
 #   basic:  m rows x t_act u32 indices
 #   block:  block count (ell+1) u64 | m_j u64 each
 #           | basic row count u64 | rows x t_act u32 (shared basic design)
-# trailing CRC-32 (u32) of everything before it.  All integers little-endian.
+# trailing CRC-32 (u32) of everything before it, so that both ends stream
+# the rows one at a time.  All integers little-endian.
 
 _MAGIC = b"TWD1"
 
 
-class _StoredRows:
-    """Serves the stored rows of a loaded design exactly as stored: a row
-    that is the progression a, a+t, ..., a+(t-1)t as a range, any other row
-    as a fresh list.  A row is never replaced by the construction's.
-
-    As one int of its native-order u32 lanes, that progression is
-    a*ones + ramp, with ramp the progression from 0; the comparison is
-    exact because its last element a+(t-1)t also fits a lane, so no lane
-    carries into the next."""
-
-    def __init__(self, t: int, rows):
-        self.raw = rows
-        self._t = t
-        self._ones = self._ramp = None
-        if (t - 1) * t < 1 << 32:  # otherwise no progression fits the lanes
-            self._ones = int.from_bytes(array("I", [1]) * t, sys.byteorder)
-            self._ramp = int.from_bytes(array("I", range(0, t * t, t)),
-                                        sys.byteorder)
-
-    def row(self, k: int) -> Sequence[int]:
-        row, t = self.raw[k], self._t
-        a = row[0]
-        if (self._ones is not None and row[-1] == a + (t - 1) * t
-                and int.from_bytes(row, sys.byteorder)
-                == a * self._ones + self._ramp):
-            return range(a, a + t * t, t)
-        return list(row)
-
-
 class LoadedBasicDesign:
-    """A basic design's rows as ``design_load`` read them: u32 buffers."""
+    """A basic design's rows as ``design_load`` kept them."""
 
     def __init__(self, variant, t_act, m, d, rows):
         self.variant = variant
         self.t_act = t_act
         self.m = m
         self.d = d
-        self._rows = _StoredRows(t_act, rows)
+        self._rows = rows
 
     def compute_Si(self, i: int) -> Sequence[int]:
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
-        return self._rows.row(i)
+        row = self._rows[i]
+        return row if isinstance(row, range) else list(row)
 
 
 class LoadedBlockDesign:
-    """A block design's shared basic rows as ``design_load`` read them."""
+    """A block design's shared basic rows as ``design_load`` kept them."""
 
     def __init__(self, variant, t_act, m, d, m_list, basic_rows):
         self.variant = variant
@@ -299,107 +273,131 @@ class LoadedBlockDesign:
         self.m = m
         self.d = d
         self.partition = BlockPartition(ell=len(m_list) - 1, m_list=m_list)
-        self._basic_rows = _StoredRows(t_act, basic_rows)
+        self._basic_rows = basic_rows
         self._order = _block_order(m_list)
 
     def compute_Si(self, i: int) -> Sequence[int]:
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
         k, j = self._order[i]
-        return _shifted(self._basic_rows.row(k), j * self.t_act * self.t_act)
+        return _shifted(self._basic_rows[k], j * self.t_act * self.t_act)
 
 
 def design_save(design, path) -> None:
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<B", design.variant.value)
-    out += struct.pack("<QQQ", design.t_act, design.m, design.d)
+    """Write each part as it is made, then their CRC-32: a write that stops
+    early leaves a file too short for ``design_load``."""
+    crc = 0
+    with open(path, "wb") as fh:
+        for part in _cache_parts(design):
+            crc = zlib.crc32(part, crc)
+            fh.write(part)
+        fh.write(struct.pack("<I", crc))
+
+
+def _cache_parts(design):
+    yield _MAGIC + struct.pack("<BQQQ", design.variant.value, design.t_act,
+                               design.m, design.d)
     if design.variant.is_block:
         m_list = design.partition.m_list
-        out += struct.pack("<Q", len(m_list))
-        out += struct.pack(f"<{len(m_list)}Q", *m_list)
         n_rows = max(m_list)
-        out += struct.pack("<Q", n_rows)
+        yield struct.pack(f"<Q{len(m_list)}QQ", len(m_list), *m_list, n_rows)
         if isinstance(design, LoadedBlockDesign):
-            rows = design._basic_rows.raw
+            rows = design._basic_rows
         else:
             rows = map(design._basic.compute_Si, range(n_rows))
     elif isinstance(design, LoadedBasicDesign):
-        rows = design._rows.raw
+        rows = design._rows
     else:
         rows = map(design.compute_Si, range(design.m))
-    for row in rows:  # a loaded design saves its rows as stored
-        out += struct.pack(f"<{design.t_act}I", *row)
-    out += struct.pack("<I", zlib.crc32(out))
-    with open(path, "wb") as fh:
-        fh.write(out)
-
-
-# Every header is 29 + 8*k bytes long, so reading the file this many bytes
-# into its buffer starts the rows on a 4-byte boundary.
-_PAD = 3
+    for row in rows:  # one at a time; a loaded design saves them as kept
+        yield struct.pack(f"<{design.t_act}I", *row)
 
 
 class _Reader:
-    def __init__(self, data: memoryview, pos: int):
-        self.data = data
-        self.pos = pos
+    """A cache read front to back under a running CRC-32, in pieces of at
+    most 1 MiB: rows that a header declares but the file does not hold
+    cost no more memory than the bytes that do arrive."""
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise DesignFormatError("truncated design cache file")
-        vals = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return vals
+    def __init__(self, fh):
+        self.fh = fh
+        self.pos = self.crc = 0
+
+    def take(self, size: int) -> bytes:
+        parts = []
+        while size:
+            part = self.fh.read(min(size, 1 << 20))
+            if not part:
+                raise DesignFormatError("truncated design cache file")
+            self.crc = zlib.crc32(part, self.crc)
+            self.pos += len(part)
+            size -= len(part)
+            parts.append(part)
+        return b"".join(parts)
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def design_load(path):
-    """Load a design cache.  The file is read once, and its rows are served
-    as views of that one buffer: a loaded design holds about its file size."""
+    """Load a design cache, read once front to back.  Each stored row is
+    kept as it arrives: the progression a, a+t, ..., a+(t-1)t as a range,
+    any other row as a u32 array, so a degree-0 cache holds few bytes."""
     with open(path, "rb") as fh:
-        buf = bytearray(_PAD + os.fstat(fh.fileno()).st_size)
-        del buf[_PAD + fh.readinto(memoryview(buf)[_PAD:]):]
-        buf += fh.read()  # a pipe reports no size ahead
-    data = memoryview(buf)[_PAD:]
-    if len(data) < len(_MAGIC) + 1 + 24 + 4:
-        raise DesignFormatError("file too short for a design cache")
-    if data[:4] != _MAGIC:
-        raise DesignFormatError("bad magic; not a design cache file")
-    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != stored_crc:
+        rd = _Reader(fh)
+        if rd.take(len(_MAGIC)) != _MAGIC:
+            raise DesignFormatError("bad magic; not a design cache file")
+        (variant_tag,) = rd.unpack("<B")
+        try:
+            variant = DesignVariant(variant_tag)
+        except ValueError as exc:
+            raise DesignFormatError(f"unknown variant tag {variant_tag}") from exc
+        t, m, d = rd.unpack("<QQQ")
+        try:
+            sizing = design_d(variant, t, m)
+        except InfeasibleParameters as exc:
+            raise DesignFormatError(f"{variant.name} admits no t_act={t}, {m=}") from exc
+        if sizing != (t, d):
+            raise DesignFormatError(f"(t_act={t}, {d=}) is not the "
+                                    f"{variant.name} design's sizing {sizing}")
+        n_rows = m
+        if variant.is_block:
+            m_list = block_partition(m, t).m_list
+            # block count, block sizes and shared row count, as (m, t) give them
+            want = [len(m_list), *m_list, max(m_list)]
+            if list(rd.unpack(f"<{len(want)}Q")) != want:
+                raise DesignFormatError("block header is not the partition of (m, t)")
+            n_rows = want[-1]
+        size = rd.pos + 4 * n_rows * t + 4
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size != size:  # a pipe has none
+            raise DesignFormatError(f"design cache file holds {st.st_size} "
+                                    f"bytes, its header declares {size}")
+        # As one little-endian int of its u32 lanes, the progression from a
+        # is a*ones + ramp, with ramp the progression from 0.  The test is
+        # exact once its last element a+(t-1)t fits a lane: no lane carries.
+        ones = ramp = None
+        if (t - 1) * t < 1 << 32:  # otherwise no progression fits the lanes
+            ones = int.from_bytes(b"\1\0\0\0" * t, "little")
+            ramp = int.from_bytes(struct.pack(f"<{t}I", *range(0, t * t, t)),
+                                  "little")
+        rows = []
+        for _ in range(n_rows):
+            raw = rd.take(4 * t)
+            a = int.from_bytes(raw[:4], "little")
+            if (ones is not None
+                    and int.from_bytes(raw[-4:], "little") == a + (t - 1) * t
+                    and int.from_bytes(raw, "little") == a * ones + ramp):
+                rows.append(range(a, a + t * t, t))
+            else:
+                rows.append(array("I", raw))
+                if sys.byteorder == "big":  # the rows are stored little-endian
+                    rows[-1].byteswap()
+        crc = rd.crc
+        (stored_crc,) = rd.unpack("<I")
+        if fh.read(1):
+            raise DesignFormatError("trailing bytes in design cache file")
+    if crc != stored_crc:
         raise DesignFormatError("checksum mismatch")
-    rd = _Reader(data[:-4], len(_MAGIC))
-    (variant_tag,) = rd.take("<B")
-    try:
-        variant = DesignVariant(variant_tag)
-    except ValueError as exc:
-        raise DesignFormatError(f"unknown variant tag {variant_tag}") from exc
-    t_act, m, d = rd.take("<QQQ")
-    try:
-        sizing = design_d(variant, t_act, m)
-    except InfeasibleParameters as exc:
-        raise DesignFormatError(f"{variant.name} admits no {t_act=}, {m=}") from exc
-    if sizing != (t_act, d):
-        raise DesignFormatError(f"({t_act=}, {d=}) is not the {variant.name} "
-                                f"design's sizing {sizing}")
-    n_rows = m
     if variant.is_block:
-        m_list = block_partition(m, t_act).m_list
-        # block count, block sizes and shared row count, as (m, t) give them
-        want = [len(m_list), *m_list, max(m_list)]
-        if list(rd.take(f"<{len(want)}Q")) != want:
-            raise DesignFormatError("block header is not the partition of (m, t)")
-        n_rows = want[-1]
-    flat, size = rd.data[rd.pos:], 4 * n_rows * t_act
-    if len(flat) != size:
-        raise DesignFormatError("truncated design cache file" if len(flat) < size
-                                else "trailing bytes in design cache file")
-    flat = flat.cast("I")
-    if sys.byteorder == "big":  # the rows are stored little-endian
-        flat = array("I", flat)
-        flat.byteswap()
-    rows = [flat[k * t_act:(k + 1) * t_act] for k in range(n_rows)]
-    if variant.is_block:
-        return LoadedBlockDesign(variant, t_act, m, d, m_list, rows)
-    return LoadedBasicDesign(variant, t_act, m, d, rows)
+        return LoadedBlockDesign(variant, t, m, d, m_list, rows)
+    return LoadedBasicDesign(variant, t, m, d, rows)

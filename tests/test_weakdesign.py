@@ -350,19 +350,95 @@ class TestDiskCache:
         assert loaded.m == m
         assert peak <= size + 64 * 1024
 
+    def test_degree_zero_cache_is_never_held_whole(self, tmp_path):
+        # t = 1009 > m: every row is a progression, kept as a range on
+        # load and written one at a time on save.
+        path = tmp_path / "design.twd"
+        design = make_design(DesignVariant.GFP, 1000, 64)
+        tracemalloc.start()
+        try:
+            design_save(design, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = design_load(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size == 29 + 4 * 1009 * 64 + 4
+        assert save_peak < size / 4 and load_peak < size / 4
+        assert all(type(loaded.compute_Si(i)) is range for i in range(64))
+
+    def test_save_that_stops_early_leaves_a_rejected_file(self, tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "design.twd"
+        design = make_design(DesignVariant.GFP, 7, 20)
+        compute = BasicDesign.compute_Si
+
+        def fail_at_row_5(self, i):
+            if i == 5:
+                raise RuntimeError("stopped")
+            return compute(self, i)
+
+        monkeypatch.setattr(BasicDesign, "compute_Si", fail_at_row_5)
+        with pytest.raises(RuntimeError):
+            design_save(design, path)
+        assert path.stat().st_size == 29 + 4 * 7 * 5
+        with pytest.raises(DesignFormatError):
+            design_load(path)
+
+    @staticmethod
+    def _load_from_fifo(tmp_path, data: bytes):
+        """design_load of a FIFO that a thread fills with data."""
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,),
+                                  daemon=True)
+        writer.start()
+        try:
+            return design_load(fifo)
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
     def test_load_from_pipe(self, tmp_path):
         design = make_design(DesignVariant.BLOCK_GFP, 7, 20)
-        path, fifo = tmp_path / "design.twd", tmp_path / "fifo"
+        path = tmp_path / "design.twd"
         design_save(design, path)
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes,
-                                  args=(path.read_bytes(),), daemon=True)
-        writer.start()
-        loaded = design_load(fifo)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        loaded = self._load_from_fifo(tmp_path, path.read_bytes())
         for i in range(20):
             assert list(loaded.compute_Si(i)) == list(design.compute_Si(i))
+
+    def test_pipe_with_a_flipped_row_byte_rejected(self, tmp_path):
+        # The flip lies in row 3; only the CRC, read last, can tell.
+        path = tmp_path / "design.twd"
+        design_save(make_design(DesignVariant.GFP, 7, 20), path)
+        data = bytearray(path.read_bytes())
+        data[29 + 4 * 7 * 3 + 2] ^= 0x01  # magic, variant, (t, m, d)
+        with pytest.raises(DesignFormatError, match="checksum"):
+            self._load_from_fifo(tmp_path, bytes(data))
+
+    @pytest.mark.parametrize("source", ["file", "fifo"])
+    def test_header_without_its_rows_reads_no_more(self, source, tmp_path):
+        # A valid gfp header, t = 1,000,000,007, m = 1, declares one row of
+        # 4 GB that the file does not hold.
+        t = 1_000_000_007
+        out = b"TWD1" + struct.pack("<BQQQ", DesignVariant.GFP.value, t, 1, t * t)
+        out += struct.pack("<I", zlib.crc32(out))
+        path = tmp_path / "design.twd"
+        path.write_bytes(out)
+        tracemalloc.start()
+        try:  # a file is measured before its rows are read, a pipe is not
+            if source == "file":
+                with pytest.raises(DesignFormatError, match="declares"):
+                    design_load(path)
+            else:
+                with pytest.raises(DesignFormatError, match="truncated"):
+                    self._load_from_fifo(tmp_path, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 21
 
     @pytest.mark.parametrize("variant", [DesignVariant.GFP,
                                          DesignVariant.BLOCK_GFP])
@@ -393,11 +469,18 @@ class TestDiskCache:
 
     @pytest.mark.parametrize("family", ["xor", "rsh", "lu"])
     def test_loaded_rows_are_never_replaced(self, family, tmp_path):
-        # row 3: p(x) = x + 3, no progression; row 5: the progression {11x + 2}
+        # row 3: p(x) = x + 3, no progression; row 5: the progression {11x + 2};
+        # row 1: the progression {11x + 1} but for its middle element, so
+        # only the whole-row comparison can tell
         affine = BasicDesign(11, 20).compute_Si(14)
         assert affine != list(range(3, 124, 11))
+        near = list(range(1, 122, 11))
+        near[5] += 1
         loaded = self._planted_basic_cache(
-            tmp_path / "design.twd", {3: affine, 5: list(range(2, 123, 11))})
+            tmp_path / "design.twd",
+            {1: near, 3: affine, 5: list(range(2, 123, 11))})
+        row = loaded.compute_Si(1)
+        assert type(row) is list and row == near
         row = loaded.compute_Si(3)
         assert type(row) is list and row == affine
         row = loaded.compute_Si(5)
