@@ -144,21 +144,22 @@ def _naive_basic_row(design: BasicDesign, i: int) -> list[int]:
 
 def _naive_design_rows(design, m: int) -> list[list[int]]:
     """Rows as the construction gives them, or as a loaded cache kept them
-    (a stored progression as its range), always as lists."""
-    if isinstance(design, BasicDesign):
-        return [_naive_basic_row(design, i) for i in range(m)]
+    (a stored progression as its range), always as lists.  A loaded design
+    is an instance of its construction's class, so it is tested first."""
     if isinstance(design, LoadedBasicDesign):
         return [list(design._rows[i]) for i in range(m)]
-    if isinstance(design, BlockDesign):
+    if isinstance(design, BasicDesign):
+        return [_naive_basic_row(design, i) for i in range(m)]
+    if isinstance(design, LoadedBlockDesign):
+        basic = [list(design._row_cache[k]) for k in range(max(design.m_list))]
+    elif isinstance(design, BlockDesign):
         basic = [_naive_basic_row(design._basic, k)
-                 for k in range(max(design.partition.m_list))]
-    elif isinstance(design, LoadedBlockDesign):
-        basic = [list(row) for row in design._basic_rows]
+                 for k in range(max(design.m_list))]
     else:
         raise TypeError(f"unsupported design {type(design).__name__}")
     t2 = design.t_act * design.t_act
     rows = []
-    for j, mj in enumerate(design.partition.m_list):  # block-sequential
+    for j, mj in enumerate(design.m_list):  # block-sequential
         for k in range(mj):
             rows.append([e + j * t2 for e in basic[k]])
     return rows[:m]

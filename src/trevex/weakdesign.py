@@ -11,9 +11,10 @@ Two constructions are provided:
 
 The variant owns r (:attr:`DesignVariant.r_kind`).  :func:`design_d` sizes
 (t_act, d) from the variant, the extractor's t_req and m before any design
-is built; the CLI reports that sizing and ``design_load`` checks a cache
-header against it.  Parameters that admit no design raise
-``params.InfeasibleParameters``.
+is built; the CLI reports that sizing.  ``design_load`` accepts only the
+header that ``design_save`` writes for the cache's (variant, t, m), and a
+loaded design is an instance of its construction's class.  Parameters that
+admit no design raise ``params.InfeasibleParameters``.
 
 The pair-to-index map is (x, p(x)) -> x*t + p(x), fixed for reproducibility.
 
@@ -32,7 +33,6 @@ import struct
 import sys
 import zlib
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from operator import add
 from typing import Sequence
@@ -116,16 +116,9 @@ class BasicDesign:
                         self.field.eval_all(self.coefficients(i))))
 
 
-@dataclass
-class BlockPartition:
-    """Sizes of the basic designs placed on the block diagonal."""
-
-    ell: int
-    m_list: list[int]  # length ell + 1
-
-
-def block_partition(m: int, t: int) -> BlockPartition:
-    """Split m output rows across ell+1 basic designs of set size t."""
+def block_partition(m: int, t: int) -> list[int]:
+    """Split m output rows across ell+1 basic designs of set size t: the
+    list of their sizes, ell+1 long."""
     rp = TWO_E
     if t <= 6:
         raise InfeasibleParameters(f"t={t} <= 2e admits no block design")
@@ -147,7 +140,7 @@ def block_partition(m: int, t: int) -> BlockPartition:
         raise InfeasibleParameters(f"negative block size for (m={m}, t={t})")
     if m_last > t:
         raise InfeasibleParameters(f"last block {m_last} > t for (m={m}, t={t})")
-    return BlockPartition(ell=ell, m_list=m_list)
+    return m_list
 
 
 def _block_order(m_list: list[int]) -> list[tuple[int, int]]:
@@ -176,14 +169,14 @@ class BlockDesign:
     """
 
     def __init__(self, t: int, m: int):
-        self.partition = block_partition(m, t)
+        self.m_list = block_partition(m, t)
         self.t_act = t
         self.m = m
-        self.d = (self.partition.ell + 1) * t * t
-        self._basic = BasicDesign(t, max(self.partition.m_list))
+        self.d = len(self.m_list) * t * t
+        self._basic = BasicDesign(t, max(self.m_list))
         self.variant = (DesignVariant.BLOCK_GF2X if self._basic.variant.is_gf2x
                         else DesignVariant.BLOCK_GFP)
-        self._order = _block_order(self.partition.m_list)
+        self._order = _block_order(self.m_list)
         self._row_cache: dict[int, Sequence[int]] = {}
 
     def compute_Si(self, i: int) -> Sequence[int]:
@@ -212,8 +205,7 @@ def design_d(variant: DesignVariant, t_req: int, m: int | None = None) -> tuple[
     if variant.is_block:
         if m is None:
             raise InfeasibleParameters("block design needs m to size its partition")
-        part = block_partition(m, t_act)
-        d = (part.ell + 1) * t_act * t_act
+        d = len(block_partition(m, t_act)) * t_act * t_act
     else:
         d = t_act * t_act
     if d > MAX_SEED_BITS:
@@ -247,14 +239,26 @@ def serves(design, m: int) -> bool:
 _MAGIC = b"TWD1"
 
 
-class LoadedBasicDesign:
-    """A basic design's rows as ``design_load`` kept them."""
+def _header(variant: DesignVariant, t: int, m: int) -> bytes:
+    """The header, up to its rows, that ``design_save`` writes for the
+    design of (variant, t, m); raises ``InfeasibleParameters`` when there is
+    no such design."""
+    if m < 1:
+        raise InfeasibleParameters(f"m={m} must be >= 1")
+    t_act, d = design_d(variant, t, m)
+    head = _MAGIC + struct.pack("<BQQQ", variant.value, t_act, m, d)
+    if not variant.is_block:
+        return head
+    m_list = block_partition(m, t_act)
+    return head + struct.pack(f"<Q{len(m_list)}QQ", len(m_list), *m_list,
+                              max(m_list))
 
-    def __init__(self, variant, t_act, m, d, rows):
-        self.variant = variant
-        self.t_act = t_act
-        self.m = m
-        self.d = d
+
+class LoadedBasicDesign(BasicDesign):
+    """A basic design whose rows are those ``design_load`` kept."""
+
+    def __init__(self, t: int, m: int, rows):
+        super().__init__(t, m)
         self._rows = rows
 
     def compute_Si(self, i: int) -> Sequence[int]:
@@ -264,23 +268,16 @@ class LoadedBasicDesign:
         return row if isinstance(row, range) else list(row)
 
 
-class LoadedBlockDesign:
-    """A block design's shared basic rows as ``design_load`` kept them."""
+class LoadedBlockDesign(BlockDesign):
+    """A block design whose row memo holds the shared basic rows that
+    ``design_load`` kept, so that no basic row is computed."""
 
-    def __init__(self, variant, t_act, m, d, m_list, basic_rows):
-        self.variant = variant
-        self.t_act = t_act
-        self.m = m
-        self.d = d
-        self.partition = BlockPartition(ell=len(m_list) - 1, m_list=m_list)
-        self._basic_rows = basic_rows
-        self._order = _block_order(m_list)
+    def __init__(self, t: int, m: int, rows):
+        super().__init__(t, m)
+        self._row_cache.update(enumerate(rows))
 
-    def compute_Si(self, i: int) -> Sequence[int]:
-        if not 0 <= i < self.m:
-            raise IndexError(f"set index {i} outside [0, {self.m})")
-        k, j = self._order[i]
-        return _shifted(self._basic_rows[k], j * self.t_act * self.t_act)
+    # an own attribute, since layer tracing wraps each class's own
+    compute_Si = BlockDesign.compute_Si
 
 
 def design_save(design, path) -> None:
@@ -295,21 +292,14 @@ def design_save(design, path) -> None:
 
 
 def _cache_parts(design):
-    yield _MAGIC + struct.pack("<BQQQ", design.variant.value, design.t_act,
-                               design.m, design.d)
-    if design.variant.is_block:
-        m_list = design.partition.m_list
-        n_rows = max(m_list)
-        yield struct.pack(f"<Q{len(m_list)}QQ", len(m_list), *m_list, n_rows)
-        if isinstance(design, LoadedBlockDesign):
-            rows = design._basic_rows
-        else:
-            rows = map(design._basic.compute_Si, range(n_rows))
-    elif isinstance(design, LoadedBasicDesign):
-        rows = design._rows
+    yield _header(design.variant, design.t_act, design.m)
+    if design.variant.is_block:  # memoised rows as kept, the rest computed
+        memo, basic = design._row_cache, design._basic
+        rows = (memo.get(k) or basic.compute_Si(k)
+                for k in range(max(design.m_list)))
     else:
         rows = map(design.compute_Si, range(design.m))
-    for row in rows:  # one at a time; a loaded design saves them as kept
+    for row in rows:  # one at a time
         yield struct.pack(f"<{design.t_act}I", *row)
 
 
@@ -351,22 +341,17 @@ def design_load(path):
             variant = DesignVariant(variant_tag)
         except ValueError as exc:
             raise DesignFormatError(f"unknown variant tag {variant_tag}") from exc
-        t, m, d = rd.unpack("<QQQ")
+        t, m = rd.unpack("<QQ")
         try:
-            sizing = design_d(variant, t, m)
+            header = _header(variant, t, m)
         except InfeasibleParameters as exc:
-            raise DesignFormatError(f"{variant.name} admits no t_act={t}, {m=}") from exc
-        if sizing != (t, d):
-            raise DesignFormatError(f"(t_act={t}, {d=}) is not the "
-                                    f"{variant.name} design's sizing {sizing}")
-        n_rows = m
-        if variant.is_block:
-            m_list = block_partition(m, t).m_list
-            # block count, block sizes and shared row count, as (m, t) give them
-            want = [len(m_list), *m_list, max(m_list)]
-            if list(rd.unpack(f"<{len(want)}Q")) != want:
-                raise DesignFormatError("block header is not the partition of (m, t)")
-            n_rows = want[-1]
+            raise DesignFormatError(f"{variant.name} admits no design of "
+                                    f"t_act={t}, {m=}") from exc
+        rest = header[rd.pos:]  # d, and a block design's sizes
+        if rd.take(len(rest)) != rest:
+            raise DesignFormatError(f"header is not the one saved for "
+                                    f"({variant.name}, t_act={t}, {m=})")
+        n_rows = max(block_partition(m, t)) if variant.is_block else m
         size = rd.pos + 4 * n_rows * t + 4
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode) and st.st_size != size:  # a pipe has none
@@ -399,5 +384,5 @@ def design_load(path):
     if crc != stored_crc:
         raise DesignFormatError("checksum mismatch")
     if variant.is_block:
-        return LoadedBlockDesign(variant, t, m, d, m_list, rows)
-    return LoadedBasicDesign(variant, t, m, d, rows)
+        return LoadedBlockDesign(t, m, rows)
+    return LoadedBasicDesign(t, m, rows)

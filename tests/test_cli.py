@@ -1,8 +1,10 @@
 import os
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -341,7 +343,7 @@ class TestDesignTools:
         good = make_design(DesignVariant.GFP, 41, 64)
         rows = [good.compute_Si(i) for i in range(64)]
         rows[5] = list(rows[4])
-        bad = LoadedBasicDesign(DesignVariant.GFP, good.t_act, 64, good.d, rows)
+        bad = LoadedBasicDesign(good.t_act, 64, rows)
         cache = tmp_path / "dup.twd"
         design_save(bad, cache)
         assert run(["--verify-design", str(cache)]) == 5
@@ -364,13 +366,34 @@ class TestDesignTools:
         good = make_design(DesignVariant.GFP, 11, 20)
         rows = [good.compute_Si(i) for i in range(20)]
         rows[3][0] = rows[3][1]  # duplicate element: |S_3| < t
-        bad = LoadedBasicDesign(DesignVariant.GFP, good.t_act, 20, good.d, rows)
+        bad = LoadedBasicDesign(good.t_act, 20, rows)
         with pytest.raises(TypeError):  # degree-0 rows are ranges
             make_design(DesignVariant.GFP, 11, 8).compute_Si(3)[0] = 0
         cache = tmp_path / "bad.twd"
         design_save(bad, cache)
         assert run(["--verify-design", str(cache)]) == 5
         assert "row 3" in capsys.readouterr().err
+
+
+    def test_cache_of_no_rows_exits_4(self, tmp_path, capsys):
+        # A gfp header with t = 7, m = 0 and d = 49, and its CRC: no design
+        # has m = 0, so neither command may take it for one.
+        head = b"TWD1" + struct.pack("<BQQQ", DesignVariant.GFP.value, 7, 0, 49)
+        cache = tmp_path / "empty.twd"
+        cache.write_bytes(head + struct.pack("<I", zlib.crc32(head)))
+        assert run(["--verify-design", str(cache)]) == 4
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out and "m=0" in captured.err
+        rng = random.Random(5)
+        inp, sd = tmp_path / "input.bin", tmp_path / "seed.bin"
+        inp.write_bytes(rng.randbytes(512))
+        sd.write_bytes(rng.randbytes(2048))
+        out = tmp_path / "out.bin"
+        assert run(RSH_ARGS + ["-m", "64", "--input", str(inp),
+                               "--seed", str(sd), "--output", str(out),
+                               "--load-design", str(cache)]) == 4
+        assert "m=0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFootprint:

@@ -87,12 +87,11 @@ class TestBasicDesign:
 
 class TestBlockPartition:
     def test_reference_partition(self):
-        p = block_partition(100, 10)
-        assert p.ell == 15
-        assert p.m_list[0] == 18
-        assert sum(p.m_list) == 100
-        assert p.m_list[-1] <= 10
-        assert len(p.m_list) == p.ell + 1
+        m_list = block_partition(100, 10)
+        assert len(m_list) - 1 == 15
+        assert m_list[0] == 18
+        assert sum(m_list) == 100
+        assert m_list[-1] <= 10
 
     def test_small_t_rejected(self):
         with pytest.raises(InfeasibleParameters):
@@ -106,24 +105,24 @@ class TestBlockPartition:
         for _ in range(1000):
             t = rng.randrange(7, 200)
             m = rng.randrange(6, 5000)
-            p = block_partition(m, t)
-            assert sum(p.m_list) == m
-            assert p.m_list[-1] <= t
-            assert all(mi >= 0 for mi in p.m_list)
+            m_list = block_partition(m, t)
+            assert sum(m_list) == m
+            assert m_list[-1] <= t
+            assert all(mi >= 0 for mi in m_list)
 
 
 class TestBlockDesign:
     def test_first_block_matches_basic_rows(self):
         bd = BlockDesign(7, 50)
-        basic = BasicDesign(7, bd.partition.m_list[0])
-        for k in range(bd.partition.m_list[0]):
+        basic = BasicDesign(7, bd.m_list[0])
+        for k in range(bd.m_list[0]):
             assert bd.compute_Si(k) == basic.compute_Si(k)
 
     def test_block_offsets(self):
         bd = BlockDesign(7, 50)
         t2 = 49
         pos = 0
-        for j, mj in enumerate(bd.partition.m_list):
+        for j, mj in enumerate(bd.m_list):
             for k in range(mj):
                 row = bd.compute_Si(pos)
                 assert row == [e + j * t2 for e in bd._basic.compute_Si(k)]
@@ -166,8 +165,8 @@ class TestDesignD:
     def test_block_sizing_matches_partition(self):
         t_act, d = design_d(DesignVariant.BLOCK_GFP, 7, 100)
         assert t_act == 7
-        part = block_partition(100, 7)
-        assert d == (part.ell + 1) * 49
+        m_list = block_partition(100, 7)
+        assert d == len(m_list) * 49  # (ell + 1) * t**2
 
     def test_block_needs_m(self):
         with pytest.raises(InfeasibleParameters):
@@ -261,7 +260,7 @@ class TestDiskCache:
         # [11, 53].  Swapped sizes still sum to m and keep d, so only the
         # partition check can tell.
         design = make_design(DesignVariant.BLOCK_GFP, 56, 64)
-        assert design.partition.m_list == [11, 53]
+        assert design.m_list == [11, 53]
         path = tmp_path / "design.twd"
         design_save(design, path)
         data = bytearray(path.read_bytes())
@@ -500,9 +499,61 @@ class TestDiskCache:
         row = loaded.compute_Si(6)
         assert type(row) is list and row == wrapped
 
+    @pytest.mark.parametrize("family", ["xor", "rsh", "lu"])
+    def test_planted_block_row_is_served_by_every_block(self, family,
+                                                        tmp_path):
+        # block-gfp, t = 11, m = 100: shared basic row 2, the progression
+        # {11x + 2}, replaced by basic row 13, p(x) = x + 2, CRC recomputed
+        design = make_design(DesignVariant.BLOCK_GFP, 11, 100)
+        planted = design._basic.compute_Si(13)
+        assert planted != list(design._basic.compute_Si(2))
+        path = tmp_path / "design.twd"
+        design_save(design, path)
+        data = bytearray(path.read_bytes())
+        # magic, variant, (t, m, d), block count, sizes, row count, rows 0-1
+        at = 29 + 8 * (len(design.m_list) + 2) + 4 * 11 * 2
+        data[at:at + 44] = struct.pack("<11I", *planted)
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+        path.write_bytes(bytes(data))
+        loaded = design_load(path)
+        first, served = 0, 0
+        for j, mj in enumerate(loaded.m_list):
+            if mj > 2:
+                row = loaded.compute_Si(first + 2)
+                assert row == [e + j * 121 for e in planted]
+                served += 1
+            first += mj
+        assert served == 11
+        extractor = {"xor": XorExtractor(64, 1), "rsh": RshExtractor(64, 2),
+                     "lu": LuExtractor(64, 1, 2)}[family]
+        rng = random.Random(4)
+        job = ExtractionJob(input=rand_buf(rng, 64),
+                            seed=rand_buf(rng, loaded.d), design=loaded,
+                            extractor=extractor, m=100)
+        assert extract_all(job) == naive_extract(job)
+        again = tmp_path / "again.twd"
+        design_save(loaded, again)
+        assert again.read_bytes() == bytes(data)
+
+    @pytest.mark.parametrize("t", [7, 8], ids=["block-gfp", "block-gf2x"])
+    def test_save_after_a_partial_memo_matches_a_fresh_save(self, t,
+                                                            tmp_path):
+        # m = 50: 9 shared basic rows of degree 1, of which rows 0, 3 and 7
+        # are memoised before the save
+        fresh, partial = tmp_path / "fresh.twd", tmp_path / "partial.twd"
+        design_save(BlockDesign(t, 50), fresh)
+        design = BlockDesign(t, 50)
+        for i in (0, 3, 7):
+            design.compute_Si(i)
+        memo = dict(design._row_cache)
+        assert sorted(memo) == [0, 3, 7]
+        design_save(design, partial)
+        assert partial.read_bytes() == fresh.read_bytes()
+        assert design._row_cache == memo  # the save fills no more of it
+
     def test_block_cache_smaller_than_explicit_dump(self, tmp_path):
         design = make_design(DesignVariant.BLOCK_GFP, 7, 100)
-        assert design.partition.ell >= 1
+        assert len(design.m_list) - 1 >= 1
         path = tmp_path / "design.twd"
         design_save(design, path)
         explicit = design.m * design.t_act * 4
