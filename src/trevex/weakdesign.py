@@ -239,19 +239,19 @@ def serves(design, m: int) -> bool:
 _MAGIC = b"TWD1"
 
 
-def _header(variant: DesignVariant, t: int, m: int) -> bytes:
+def _header(variant: DesignVariant, t: int, m: int) -> tuple[bytes, int]:
     """The header, up to its rows, that ``design_save`` writes for the
-    design of (variant, t, m); raises ``InfeasibleParameters`` when there is
-    no such design."""
-    if m < 1:
-        raise InfeasibleParameters(f"m={m} must be >= 1")
+    design of (variant, t, m), and how many rows follow it; raises
+    ``InfeasibleParameters`` when there is no such design."""
     t_act, d = design_d(variant, t, m)
-    head = _MAGIC + struct.pack("<BQQQ", variant.value, t_act, m, d)
+    if t_act != t or m < 1:
+        raise InfeasibleParameters(f"{variant.name} has no design of {t=}, {m=}")
+    head = _MAGIC + struct.pack("<BQQQ", variant.value, t, m, d)
     if not variant.is_block:
-        return head
-    m_list = block_partition(m, t_act)
-    return head + struct.pack(f"<Q{len(m_list)}QQ", len(m_list), *m_list,
-                              max(m_list))
+        return head, m
+    m_list = block_partition(m, t)
+    return (head + struct.pack(f"<Q{len(m_list)}QQ", len(m_list), *m_list,
+                               max(m_list)), max(m_list))
 
 
 class LoadedBasicDesign(BasicDesign):
@@ -292,7 +292,7 @@ def design_save(design, path) -> None:
 
 
 def _cache_parts(design):
-    yield _header(design.variant, design.t_act, design.m)
+    yield _header(design.variant, design.t_act, design.m)[0]
     if design.variant.is_block:  # memoised rows as kept, the rest computed
         memo, basic = design._row_cache, design._basic
         rows = (memo.get(k) or basic.compute_Si(k)
@@ -343,15 +343,14 @@ def design_load(path):
             raise DesignFormatError(f"unknown variant tag {variant_tag}") from exc
         t, m = rd.unpack("<QQ")
         try:
-            header = _header(variant, t, m)
+            header, n_rows = _header(variant, t, m)
         except InfeasibleParameters as exc:
             raise DesignFormatError(f"{variant.name} admits no design of "
                                     f"t_act={t}, {m=}") from exc
         rest = header[rd.pos:]  # d, and a block design's sizes
-        if rd.take(len(rest)) != rest:
+        if rd.take(len(rest)) != rest:  # it begins with the fields just read
             raise DesignFormatError(f"header is not the one saved for "
                                     f"({variant.name}, t_act={t}, {m=})")
-        n_rows = max(block_partition(m, t)) if variant.is_block else m
         size = rd.pos + 4 * n_rows * t + 4
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode) and st.st_size != size:  # a pipe has none
@@ -383,6 +382,11 @@ def design_load(path):
             raise DesignFormatError("trailing bytes in design cache file")
     if crc != stored_crc:
         raise DesignFormatError("checksum mismatch")
-    if variant.is_block:
-        return LoadedBlockDesign(t, m, rows)
-    return LoadedBasicDesign(t, m, rows)
+    # Built only once the rows are read: a block design's row order holds
+    # m entries, about six times the rows its cache stores.
+    design = (LoadedBlockDesign if variant.is_block
+              else LoadedBasicDesign)(t, m, rows)
+    if design.variant is not variant:  # GF(2) is both GF(p) and GF(2**l)
+        raise DesignFormatError(f"{variant.name} cache of a "
+                                f"{design.variant.name} design")
+    return design

@@ -395,6 +395,24 @@ class TestDesignTools:
         assert "m=0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tag, t, d", [
+        (DesignVariant.GF2X, 7, 64),  # gf2x rounds t = 7 up to 8
+        (DesignVariant.GFP, 9, 121),  # no field has order 9
+    ], ids=["gf2x-t7", "gfp-t9"])
+    def test_header_of_an_unrounded_t_exits_4(self, tag, t, d, tmp_path,
+                                              capsys):
+        # A header whose t no design of its tag has, over t rows of t
+        # elements and their CRC: the first t rows of the gfp t = 7 design,
+        # and of the t = 11 design cut to t elements.
+        rows = make_design(DesignVariant.GFP, t, t)
+        head = b"TWD1" + struct.pack("<BQQQ", tag.value, t, t, d)
+        body = head + b"".join(struct.pack(f"<{t}I", *rows.compute_Si(i)[:t])
+                               for i in range(t))
+        cache = tmp_path / "retagged.twd"
+        cache.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert run(["--verify-design", str(cache)]) == 4
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out and f"t_act={t}" in captured.err
 
 class TestFootprint:
     def test_seed_read_holds_the_data_once(self, tmp_path):

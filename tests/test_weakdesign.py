@@ -321,6 +321,29 @@ class TestDiskCache:
         with pytest.raises(DesignFormatError):
             design_load(path)
 
+    @pytest.mark.parametrize("tag, t, d, rows_of, m", [
+        # gfp t = 7 rows under a gf2x header: round_t(GF2X, 7) is 8
+        (DesignVariant.GF2X, 7, 64, (DesignVariant.GFP, 7), 20),
+        # gf2x t = 8 rows under a gfp header that keeps d = 11**2
+        (DesignVariant.GFP, 8, 121, (DesignVariant.GF2X, 8), 20),
+        # 9 is neither prime nor a power of two; 9 rows of 9
+        (DesignVariant.GFP, 9, 121, (DesignVariant.GFP, 11), 9),
+        # GF(2) is a prime field, but a basic design of t = 2 is gf2x
+        (DesignVariant.GFP, 2, 4, (DesignVariant.GF2X, 2), 4),
+    ], ids=["gf2x-t7", "gfp-t8", "gfp-t9", "gfp-t2"])
+    def test_header_of_another_design_rejected(self, tag, t, d, rows_of, m,
+                                               tmp_path):
+        # Whole rows and their CRC under a header whose (tag, t) no design
+        # of that tag has: the t read must be the design's own.
+        source = make_design(*rows_of, m)
+        out = b"TWD1" + struct.pack("<BQQQ", tag.value, t, m, d)
+        out += b"".join(struct.pack(f"<{t}I", *source.compute_Si(i)[:t])
+                        for i in range(m))
+        path = tmp_path / "design.twd"
+        path.write_bytes(out + struct.pack("<I", zlib.crc32(out)))
+        with pytest.raises(DesignFormatError):
+            design_load(path)
+
     @pytest.mark.parametrize("variant, digest", [
         (DesignVariant.GFP,
          "2e25ec6dc15a4c4f395b0df51cd48797fa988a7b05895ae60a70069ea8332caf"),
