@@ -116,9 +116,10 @@ class RshExtractor:
         # l low bits and the W - l bits above them of every slot.
         f = self.field.poly
         self._tail = tuple(e for e in range(l) if f >> e & 1)
-        slots = range(0, self._giant * w, w)
-        self._low = sum(((1 << l) - 1) << g for g in slots)
-        self._high = sum(((1 << w - l) - 1) << g for g in slots)
+        ones = int.from_bytes(b"\1".ljust(w // 8, b"\0") * self._giant,
+                              "little")  # 1 at the bottom of every slot
+        self._low = ((1 << l) - 1) * ones
+        self._high = ((1 << w - l) - 1) * ones
 
     def coefficients(self, input: BitBuffer) -> tuple[int, ...]:
         """The input's s polynomial coefficients c_0 ... c_(s-1), read from

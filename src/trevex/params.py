@@ -100,7 +100,7 @@ def solve_w(nu: float) -> float:
 
     lo = nu * 1e-15
     hi = nu
-    if not (f(lo) > 0.0 > f(hi)):
+    if not (lo > 0.0 and f(lo) > 0.0 > f(hi)):  # lo of a subnormal nu is 0
         raise InfeasibleParameters(f"nu={nu} unusable: no sign change on (0, {nu})")
     w = lo
     for _ in range(200):
@@ -137,6 +137,13 @@ class ExtractorParams:
         return self.k <= self.alpha * self.n and self.m >= 1
 
 
+def _log2(x: float) -> float:
+    """log2 of a ratio of eps that a tiny eps takes past the floats."""
+    if not 0.0 < x < math.inf:
+        raise InfeasibleParameters(f"eps too small: a sizing takes log2({x})")
+    return math.log2(x)
+
+
 def _check_common(n: int, m: int, alpha: float, eps: float) -> None:
     if n < 2:
         raise InfeasibleParameters(f"n={n} too small")
@@ -159,7 +166,7 @@ def xor_params(n: int, m: int, alpha: float, mu: float, eps: float,
     if hinv <= 0.0:
         raise InfeasibleParameters(f"binary_entropy_inv({gamma}) not positive")
     ell = math.ceil(2.0 * math.log(2.0) / hinv
-                    * math.log2((2.0 + math.sqrt(2.0)) / eps))
+                    * _log2((2.0 + math.sqrt(2.0)) / eps))
     k = (gamma * n + 6.0 * math.log2((1.0 + math.sqrt(2.0)) / eps)
          + math.log2(4.0 / 3.0) + r_kind.real * m)
     return ExtractorParams(
@@ -171,7 +178,7 @@ def rsh_params(n: int, m: int, alpha: float, eps: float,
                r_kind: RKind = RKind.TWO_E) -> ExtractorParams:
     """Parameters of the polynomial-hashing one-bit extractor."""
     _check_common(n, m, alpha, eps)
-    ell = math.ceil(math.log2(n) + 2.0 * math.log2(2.0 / eps))
+    ell = math.ceil(math.log2(n) + 2.0 * _log2(2.0 / eps))
     k = 4.0 * math.log2(1.0 / eps) + 6.0 + r_kind.real * m
     return ExtractorParams(
         family="rsh", n=n, m=m, alpha=alpha, r_kind=r_kind, k=k, ell=ell)
@@ -190,7 +197,7 @@ def lu_params(n: int, m: int, alpha: float, nu: float, eps: float,
     if denom >= 0.0:
         raise InfeasibleParameters(
             f"log2(1 - nu + w) = {denom} not negative; nu={nu} unusable")
-    ell = math.ceil(4.0 * math.log2(delta) / denom)
+    ell = math.ceil(4.0 * _log2(delta) / denom)
     k = (binary_entropy(nu) * n
          + 6.0 * math.log2((2.0 + math.sqrt(2.0)) / eps) - 2.0 + r_kind.real * m)
     return ExtractorParams(

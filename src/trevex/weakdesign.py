@@ -11,10 +11,11 @@ Two constructions are provided:
 
 The variant owns r (:attr:`DesignVariant.r_kind`).  :func:`design_d` sizes
 (t_act, d) from the variant, the extractor's t_req and m before any design
-is built; the CLI reports that sizing.  ``design_load`` accepts only the
-header that ``design_save`` writes for the cache's (variant, t, m), and a
-loaded design is an instance of its construction's class.  Parameters that
-admit no design raise ``params.InfeasibleParameters``.
+is built; the CLI reports that sizing.  ``design_load`` builds the design
+that a cache's header names, an instance of its construction's class,
+before it reads a row, and accepts only the header that ``design_save``
+writes for that design.  Parameters that admit no design raise
+``params.InfeasibleParameters``.
 
 The pair-to-index map is (x, p(x)) -> x*t + p(x), fixed for reproducibility.
 
@@ -33,7 +34,9 @@ import struct
 import sys
 import zlib
 from array import array
+from bisect import bisect_right
 from enum import Enum
+from itertools import accumulate
 from operator import add
 from typing import Sequence
 
@@ -143,8 +146,12 @@ def block_partition(m: int, t: int) -> list[int]:
     return m_list
 
 
-def _block_order(m_list: list[int]) -> list[tuple[int, int]]:
-    """Row order of the block design.  Entry g -> (basic row k, block j).
+class BlockDesign:
+    """Basic designs on a block diagonal; overlap r = 1.
+
+    Rows from block j are the basic rows offset by j*t**2.  Every block
+    reuses a prefix of the same basic design, so each basic row is computed
+    once and memoised (at most max(m_j) cached rows, bounded by 2e*n_0+1).
 
     Rows are emitted block by block, basic rows in increasing order within
     each block.  The overlap bound r = 1 depends on this order: a row late
@@ -152,20 +159,6 @@ def _block_order(m_list: list[int]) -> list[tuple[int, int]]:
     only survives because the small final block (disjoint constant rows)
     comes last.  Orders that group rows by basic-row index instead provably
     exceed the bound, so caching is done per basic row, not by reordering.
-    """
-    order = []
-    for j, mj in enumerate(m_list):
-        for k in range(mj):
-            order.append((k, j))
-    return order
-
-
-class BlockDesign:
-    """Basic designs on a block diagonal; overlap r = 1.
-
-    Rows from block j are the basic rows offset by j*t**2.  Every block
-    reuses a prefix of the same basic design, so each basic row is computed
-    once and memoised (at most max(m_j) cached rows, bounded by 2e*n_0+1).
     """
 
     def __init__(self, t: int, m: int):
@@ -176,13 +169,15 @@ class BlockDesign:
         self._basic = BasicDesign(t, max(self.m_list))
         self.variant = (DesignVariant.BLOCK_GF2X if self._basic.variant.is_gf2x
                         else DesignVariant.BLOCK_GFP)
-        self._order = _block_order(self.m_list)
+        # the first row of each block, for a bisect by row index
+        self._starts = [0, *accumulate(self.m_list[:-1])]
         self._row_cache: dict[int, Sequence[int]] = {}
 
     def compute_Si(self, i: int) -> Sequence[int]:
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
-        k, j = self._order[i]
+        j = bisect_right(self._starts, i) - 1
+        k = i - self._starts[j]
         base = self._row_cache.get(k)
         if base is None:
             base = self._basic.compute_Si(k)
@@ -234,24 +229,26 @@ def serves(design, m: int) -> bool:
 #   block:  block count (ell+1) u64 | m_j u64 each
 #           | basic row count u64 | rows x t_act u32 (shared basic design)
 # trailing CRC-32 (u32) of everything before it, so that both ends stream
-# the rows one at a time.  All integers little-endian.
+# the rows one at a time.  All integers little-endian.  The stored rows are
+# basic rows, with elements below t_act**2, so t_act**2 <= 2**32.
 
 _MAGIC = b"TWD1"
 
 
-def _header(variant: DesignVariant, t: int, m: int) -> tuple[bytes, int]:
+def _header(design) -> bytes:
     """The header, up to its rows, that ``design_save`` writes for the
-    design of (variant, t, m), and how many rows follow it; raises
-    ``InfeasibleParameters`` when there is no such design."""
-    t_act, d = design_d(variant, t, m)
-    if t_act != t or m < 1:
-        raise InfeasibleParameters(f"{variant.name} has no design of {t=}, {m=}")
-    head = _MAGIC + struct.pack("<BQQQ", variant.value, t, m, d)
-    if not variant.is_block:
-        return head, m
-    m_list = block_partition(m, t)
-    return (head + struct.pack(f"<Q{len(m_list)}QQ", len(m_list), *m_list,
-                               max(m_list)), max(m_list))
+    design; raises ``DesignFormatError`` when a cache cannot hold it."""
+    t = design.t_act
+    if t * t > 1 << 32:
+        raise DesignFormatError(f"t_act={t} has row elements past the u32 "
+                                f"range of a design cache")
+    head = _MAGIC + struct.pack("<BQQQ", design.variant.value, t, design.m,
+                                design.d)
+    if not design.variant.is_block:
+        return head
+    m_list = design.m_list
+    return head + struct.pack(f"<Q{len(m_list)}QQ", len(m_list), *m_list,
+                              design._basic.m)
 
 
 class LoadedBasicDesign(BasicDesign):
@@ -272,35 +269,28 @@ class LoadedBlockDesign(BlockDesign):
     """A block design whose row memo holds the shared basic rows that
     ``design_load`` kept, so that no basic row is computed."""
 
-    def __init__(self, t: int, m: int, rows):
-        super().__init__(t, m)
-        self._row_cache.update(enumerate(rows))
-
     # an own attribute, since layer tracing wraps each class's own
     compute_Si = BlockDesign.compute_Si
 
 
 def design_save(design, path) -> None:
-    """Write each part as it is made, then their CRC-32: a write that stops
+    """Write the header, each row as it is made, then their CRC-32: a
+    design that no cache holds leaves no file, and a write that stops
     early leaves a file too short for ``design_load``."""
-    crc = 0
+    header = _header(design)
+    if design.variant.is_block:  # memoised rows as kept, the rest computed
+        memo, basic = design._row_cache, design._basic
+        rows = (memo.get(k) or basic.compute_Si(k) for k in range(basic.m))
+    else:
+        rows = map(design.compute_Si, range(design.m))
+    crc = zlib.crc32(header)
     with open(path, "wb") as fh:
-        for part in _cache_parts(design):
+        fh.write(header)
+        for row in rows:  # one at a time
+            part = struct.pack(f"<{design.t_act}I", *row)
             crc = zlib.crc32(part, crc)
             fh.write(part)
         fh.write(struct.pack("<I", crc))
-
-
-def _cache_parts(design):
-    yield _header(design.variant, design.t_act, design.m)[0]
-    if design.variant.is_block:  # memoised rows as kept, the rest computed
-        memo, basic = design._row_cache, design._basic
-        rows = (memo.get(k) or basic.compute_Si(k)
-                for k in range(max(design.m_list)))
-    else:
-        rows = map(design.compute_Si, range(design.m))
-    for row in rows:  # one at a time
-        yield struct.pack(f"<{design.t_act}I", *row)
 
 
 class _Reader:
@@ -329,9 +319,10 @@ class _Reader:
 
 
 def design_load(path):
-    """Load a design cache, read once front to back.  Each stored row is
-    kept as it arrives: the progression a, a+t, ..., a+(t-1)t as a range,
-    any other row as a u32 array, so a degree-0 cache holds few bytes."""
+    """Load a design cache, read once front to back, into the design of
+    the variant, t and m that its header names.  Each stored row is kept
+    as it arrives: the progression a, a+t, ..., a+(t-1)t as a range, any
+    other row as a u32 array, so a degree-0 cache holds few bytes."""
     with open(path, "rb") as fh:
         rd = _Reader(fh)
         if rd.take(len(_MAGIC)) != _MAGIC:
@@ -342,34 +333,38 @@ def design_load(path):
         except ValueError as exc:
             raise DesignFormatError(f"unknown variant tag {variant_tag}") from exc
         t, m = rd.unpack("<QQ")
-        try:
-            header, n_rows = _header(variant, t, m)
-        except InfeasibleParameters as exc:
-            raise DesignFormatError(f"{variant.name} admits no design of "
-                                    f"t_act={t}, {m=}") from exc
-        rest = header[rd.pos:]  # d, and a block design's sizes
+        no_design = f"{variant.name} admits no design of t_act={t}, {m=}"
+        rows = []  # a basic design's own; a block design's memo once read
+        try:  # InfeasibleParameters, or a t that is no field order
+            design = (LoadedBlockDesign(t, m) if variant.is_block
+                      else LoadedBasicDesign(t, m, rows))
+        except ValueError as exc:
+            raise DesignFormatError(no_design) from exc
+        if design.variant is not variant:  # GF(2) is GF(p) and GF(2**l)
+            raise DesignFormatError(no_design)
+        rest = _header(design)[rd.pos:]  # d, and a block design's sizes
         if rd.take(len(rest)) != rest:  # it begins with the fields just read
             raise DesignFormatError(f"header is not the one saved for "
                                     f"({variant.name}, t_act={t}, {m=})")
+        n_rows = design._basic.m if variant.is_block else m
         size = rd.pos + 4 * n_rows * t + 4
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode) and st.st_size != size:  # a pipe has none
             raise DesignFormatError(f"design cache file holds {st.st_size} "
                                     f"bytes, its header declares {size}")
         # As one little-endian int of its u32 lanes, the progression from a
-        # is a*ones + ramp, with ramp the progression from 0.  The test is
-        # exact once its last element a+(t-1)t fits a lane: no lane carries.
-        ones = ramp = None
-        if (t - 1) * t < 1 << 32:  # otherwise no progression fits the lanes
-            ones = int.from_bytes(b"\1\0\0\0" * t, "little")
-            ramp = int.from_bytes(struct.pack(f"<{t}I", *range(0, t * t, t)),
-                                  "little")
-        rows = []
+        # is a*ones + ramp, with ramp the progression from 0, which fits the
+        # lanes since t**2 <= 2**32.  The test is exact once its last
+        # element a+(t-1)t fits a lane: no lane carries.
+        ones = int.from_bytes(b"\1\0\0\0" * t, "little")
+        lanes = array("I", range(0, t * t, t))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        ramp = int.from_bytes(lanes, "little")
         for _ in range(n_rows):
             raw = rd.take(4 * t)
             a = int.from_bytes(raw[:4], "little")
-            if (ones is not None
-                    and int.from_bytes(raw[-4:], "little") == a + (t - 1) * t
+            if (int.from_bytes(raw[-4:], "little") == a + (t - 1) * t
                     and int.from_bytes(raw, "little") == a * ones + ramp):
                 rows.append(range(a, a + t * t, t))
             else:
@@ -382,11 +377,6 @@ def design_load(path):
             raise DesignFormatError("trailing bytes in design cache file")
     if crc != stored_crc:
         raise DesignFormatError("checksum mismatch")
-    # Built only once the rows are read: a block design's row order holds
-    # m entries, about six times the rows its cache stores.
-    design = (LoadedBlockDesign if variant.is_block
-              else LoadedBasicDesign)(t, m, rows)
-    if design.variant is not variant:  # GF(2) is both GF(p) and GF(2**l)
-        raise DesignFormatError(f"{variant.name} cache of a "
-                                f"{design.variant.name} design")
+    if variant.is_block:
+        design._row_cache.update(enumerate(rows))
     return design

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -134,6 +135,13 @@ class TestRsh:
     def test_block_size_guard(self):
         with pytest.raises(ValueError):
             RshExtractor(100, 65)
+
+    def test_slot_masks_build_in_linear_time(self):
+        # n = 10**11, l = 52: G = 43,853 slots of W = 104 bits, where a
+        # sum of G shifted slot masks took about 10 s
+        start = time.perf_counter()
+        RshExtractor(10**11, 52)
+        assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("family", FAMILIES)

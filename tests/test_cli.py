@@ -8,6 +8,8 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trevex import cli
 from trevex.bitext import from_params
@@ -92,6 +94,42 @@ class TestDryRun:
                                "--save-design", str(cache)]) == 2
         assert "infeasible parameters" in capsys.readouterr().err
         assert not cache.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # delta = (eps/(2+sqrt(2)))**2 underflows to 0
+        ["--bitext", "lu", "--nu", "0.45", "-n", "65536", "--alpha", "1.0",
+         "--eps", "1e-162"],
+        # 2/eps and (2+sqrt(2))/eps overflow to inf, and so does ell
+        ["--bitext", "xor", "--mu", "0.03", "-n", "4096", "--alpha", "0.9",
+         "--eps", "1e-308"],
+        ["--bitext", "rsh", "-n", "4096", "--alpha", "0.9", "--eps", "1e-308"],
+        # the walk-length bisection starts at nu*1e-15, which underflows
+        ["--bitext", "lu", "--nu", "1e-311", "-n", "4096", "--alpha", "0.9",
+         "--eps", "0.01"],
+    ], ids=["lu", "xor", "rsh", "lu-nu"])
+    def test_float_past_its_range_exits_infeasible(self, argv, capsys):
+        assert run(argv + ["--dry-run"]) == 2
+        assert "infeasible parameters" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(["xor", "rsh", "lu"]),
+           n=st.integers(-5, 10**12),
+           alpha=st.floats(0.0, 1.0),
+           eps=st.one_of(st.floats(5e-324, 1.0),
+                         st.sampled_from([5e-324, 1e-308, 1e-162])),
+           free=st.floats(0.0, 1.0),
+           design=st.sampled_from(["gfp", "gf2x", "block-gfp", "block-gf2x"]),
+           m=st.one_of(st.none(), st.integers(0, 1 << 62),
+                       st.sampled_from([0, 1 << 62])))
+    def test_any_dry_run_exits_0_or_2(self, family, n, alpha, eps, free,
+                                      design, m):
+        argv = ["--bitext", family, f"-n={n}", f"--alpha={alpha!r}",
+                f"--eps={eps!r}", "--design", design, "--dry-run"]
+        if family != "rsh":
+            argv.append(f"--{'mu' if family == 'xor' else 'nu'}={free!r}")
+        if m is not None:
+            argv.append(f"-m={m}")
+        assert run(argv) in (0, 2)
 
 
 class TestRshBlockAbove64:
@@ -394,6 +432,17 @@ class TestDesignTools:
                                "--load-design", str(cache)]) == 4
         assert "m=0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_design_past_u32_elements_exits_4_without_file(self, tmp_path,
+                                                          capsys):
+        # A feasible gfp design of t_act = 72,101, d = 5,198,554,201: its
+        # row elements pass the u32 a cache stores them as.
+        cache = tmp_path / "design.twd"
+        assert run(["--bitext", "xor", "-n", "4096", "--alpha", "0.9",
+                    "--mu", "0.03", "--eps", "1e-3", "-m", "4",
+                    "--gen-design", "--save-design", str(cache)]) == 4
+        assert "t_act=72101" in capsys.readouterr().err
+        assert not cache.exists()
 
     @pytest.mark.parametrize("tag, t, d", [
         (DesignVariant.GF2X, 7, 64),  # gf2x rounds t = 7 up to 8

@@ -344,6 +344,22 @@ class TestDiskCache:
         with pytest.raises(DesignFormatError):
             design_load(path)
 
+    def test_cache_holds_the_designs_of_u32_elements(self, tmp_path):
+        # Stored rows are basic rows, below t_act**2: a block design of
+        # t = 2**16 and d = 2**33 round-trips, a gfp design of t = 65,537
+        # is refused before its file is opened.
+        design = make_design(DesignVariant.BLOCK_GF2X, 1 << 16, 7)
+        assert design.d == 1 << 33
+        path = tmp_path / "design.twd"
+        design_save(design, path)
+        loaded = design_load(path)
+        for i in range(7):
+            assert list(loaded.compute_Si(i)) == list(design.compute_Si(i))
+        path.unlink()
+        with pytest.raises(DesignFormatError, match="t_act=65537"):
+            design_save(make_design(DesignVariant.GFP, 65_537, 7), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("variant, digest", [
         (DesignVariant.GFP,
          "2e25ec6dc15a4c4f395b0df51cd48797fa988a7b05895ae60a70069ea8332caf"),
@@ -440,12 +456,26 @@ class TestDiskCache:
         with pytest.raises(DesignFormatError, match="checksum"):
             self._load_from_fifo(tmp_path, bytes(data))
 
-    @pytest.mark.parametrize("source", ["file", "fifo"])
-    def test_header_without_its_rows_reads_no_more(self, source, tmp_path):
-        # A valid gfp header, t = 1,000,000,007, m = 1, declares one row of
-        # 4 GB that the file does not hold.
-        t = 1_000_000_007
-        out = b"TWD1" + struct.pack("<BQQQ", DesignVariant.GFP.value, t, 1, t * t)
+    @pytest.mark.parametrize("source, variant", [
+        ("file", DesignVariant.GFP), ("fifo", DesignVariant.GFP),
+        ("file", DesignVariant.BLOCK_GFP), ("fifo", DesignVariant.BLOCK_GFP),
+    ], ids=["file", "fifo", "block-file", "block-fifo"])
+    def test_header_without_its_rows_reads_no_more(self, source, variant,
+                                                   tmp_path):
+        # A valid header and its CRC, with none of the rows it declares:
+        # gfp t = 65,521 (the largest prime t a cache holds) and m = 2**30,
+        # about 281 TB of rows; block-gfp t = 7 and m = 2**40, whose
+        # largest block has 202,243,861,593 rows.
+        if variant is DesignVariant.GFP:
+            t = 65_521
+            out = b"TWD1" + struct.pack("<BQQQ", variant.value, t, 1 << 30,
+                                        t * t)
+        else:
+            m_list = block_partition(1 << 40, 7)
+            out = b"TWD1" + struct.pack("<BQQQ", variant.value, 7, 1 << 40,
+                                        len(m_list) * 49)
+            out += struct.pack(f"<Q{len(m_list)}QQ", len(m_list), *m_list,
+                               max(m_list))
         out += struct.pack("<I", zlib.crc32(out))
         path = tmp_path / "design.twd"
         path.write_bytes(out)
