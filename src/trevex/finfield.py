@@ -15,8 +15,9 @@ workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .params import Record
 
 MAX_PRIME = (1 << 61) - 1
 
@@ -60,20 +61,31 @@ def next_prime(t: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class _Frozen(Record):
+    """A field context: assignment raises, and equal contexts hash alike."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
+class PrimeField(_Frozen):
     """GF(p).  Multiplication of Python ints is exact, so the 61-bit limit
     only mirrors the contract that elements fit machine words downstream.
     ``eval_all`` evaluates a polynomial at every element at once, which is
     how a design row is computed."""
 
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if self.p > MAX_PRIME:
-            raise ValueError(f"p={self.p} exceeds 2**61 - 1")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        if p > MAX_PRIME:
+            raise ValueError(f"p={p} exceeds 2**61 - 1")
+        vars(self).update(p=p)
 
     @property
     def order(self) -> int:
@@ -134,16 +146,13 @@ def find_irreducible(l: int) -> "BinaryField":
     return BinaryField(l, _MODULI[l - 1])
 
 
-@dataclass(frozen=True)
-class BinaryField:
+class BinaryField(_Frozen):
     """GF(2**l) with elements as bitmasks < 2**l; addition is XOR."""
 
-    l: int
-    poly: int
-
-    def __post_init__(self):
-        if self.poly.bit_length() != self.l + 1:
-            raise ValueError(f"poly degree != {self.l}")
+    def __init__(self, l: int, poly: int):
+        if poly.bit_length() != l + 1:
+            raise ValueError(f"poly degree != {l}")
+        vars(self).update(l=l, poly=poly)
 
     @property
     def order(self) -> int:

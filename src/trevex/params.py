@@ -17,7 +17,6 @@ t_req and its geometry; the design variant owns r
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 TWO_E = 2.0 * math.e
@@ -117,20 +116,38 @@ def solve_w(nu: float) -> float:
     return w
 
 
-@dataclass
-class ExtractorParams:
+class Record:
+    """Equality and repr over an instance's attributes, in the order its
+    ``__init__`` sets them, as a dataclass gives them; unhashable unless a
+    subclass defines ``__hash__``.  Plain classes keep ``dataclasses`` (and
+    with it ``inspect``) off the CLI's import path."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ExtractorParams(Record):
     """A run's entropy budget and what ``bitext.from_params`` needs to
     build its one-bit extractor, which owns t_req."""
 
-    family: str                 # "xor" | "rsh" | "lu"
-    n: int                      # input length, bits
-    m: int                      # output length, bits
-    alpha: float                # source min-entropy rate, k_src = alpha*n
-    r_kind: RKind
-    k: float                    # required source min-entropy, bits
-    ell: int                    # XOR sample count / hash length / walk length
-    gamma: float | None = None  # XOR only: mu*alpha
-    c: int | None = None        # Lu only: walk sub-steps per remembered vertex
+    def __init__(self, family: str, n: int, m: int, alpha: float,
+                 r_kind: RKind, k: float, ell: int,
+                 gamma: float | None = None, c: int | None = None):
+        self.family = family    # "xor" | "rsh" | "lu"
+        self.n = n              # input length, bits
+        self.m = m              # output length, bits
+        self.alpha = alpha      # source min-entropy rate, k_src = alpha*n
+        self.r_kind = r_kind
+        self.k = k              # required source min-entropy, bits
+        self.ell = ell          # XOR sample count / hash length / walk length
+        self.gamma = gamma      # XOR only: mu*alpha
+        self.c = c              # Lu only: walk sub-steps per remembered vertex
 
     @property
     def feasible(self) -> bool:

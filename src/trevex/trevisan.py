@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import io
 import os
-import signal
-from dataclasses import dataclass
 
+from .params import Record
 from .weakdesign import serves
 
 
@@ -128,14 +127,15 @@ def slice_subseed(seed: BitBuffer, indices) -> int:
     return int(digits[::-1], 2)
 
 
-@dataclass
-class ExtractionJob:
-    input: BitBuffer
-    seed: BitBuffer
-    design: object
-    extractor: object
-    m: int
-    workers: int = 1
+class ExtractionJob(Record):
+    def __init__(self, input: BitBuffer, seed: BitBuffer, design, extractor,
+                 m: int, workers: int = 1):
+        self.input = input
+        self.seed = seed
+        self.design = design
+        self.extractor = extractor
+        self.m = m
+        self.workers = workers
 
 
 def _extract_range(job: ExtractionJob, prepared, lo: int, hi: int) -> int:
@@ -235,6 +235,7 @@ def _fan_out(job: ExtractionJob, prepared, bounds) -> int:
         return value
     finally:
         for pid, (reader, _, _) in running.items():
+            import signal
             reader.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

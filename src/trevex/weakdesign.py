@@ -38,7 +38,6 @@ from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate
 from operator import add
-from typing import Sequence
 
 from .finfield import BinaryField, field_for_order, next_prime
 from .params import TWO_E, InfeasibleParameters, RKind, ceil_log2
@@ -107,7 +106,7 @@ class BasicDesign:
         t = self.t_act
         return [(i // t ** j) % t for j in range(self.c + 1)]
 
-    def compute_Si(self, i: int) -> Sequence[int]:
+    def compute_Si(self, i: int) -> range | list[int]:
         """x*t + p_i(x) for x = 0..t-1, which is already ascending; for
         c = 0, p_i is the constant i and the row is a range."""
         if not 0 <= i < self.m:
@@ -171,9 +170,9 @@ class BlockDesign:
                         else DesignVariant.BLOCK_GFP)
         # the first row of each block, for a bisect by row index
         self._starts = [0, *accumulate(self.m_list[:-1])]
-        self._row_cache: dict[int, Sequence[int]] = {}
+        self._row_cache: dict[int, range | list[int]] = {}
 
-    def compute_Si(self, i: int) -> Sequence[int]:
+    def compute_Si(self, i: int) -> range | list[int]:
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
         j = bisect_right(self._starts, i) - 1
@@ -185,7 +184,7 @@ class BlockDesign:
         return _shifted(base, j * self.t_act * self.t_act)
 
 
-def _shifted(row: Sequence[int], off: int) -> Sequence[int]:
+def _shifted(row: range | list[int], off: int) -> range | list[int]:
     """The row with off added to every element, as a new range or list."""
     if isinstance(row, range):
         return range(row.start + off, row.stop + off, row.step)
@@ -258,7 +257,7 @@ class LoadedBasicDesign(BasicDesign):
         super().__init__(t, m)
         self._rows = rows
 
-    def compute_Si(self, i: int) -> Sequence[int]:
+    def compute_Si(self, i: int) -> range | list[int]:
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
         row = self._rows[i]

@@ -488,6 +488,22 @@ class TestFootprint:
                              env={**os.environ, "PYTHONPATH": str(src)}).stdout
         assert out.strip() == "[]"
 
+    def test_import_path_stays_light(self):
+        """Every CLI job pays for its imports before any bit is extracted:
+        dataclasses (with inspect, dis and ast), signal, typing and the
+        oracles stay off the path.  -S keeps site out, since a .pth file
+        may import typing before the package does."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; before = set(sys.modules); import trevex.cli; "
+                "print(*sorted(set(sys.modules) - before))")
+        out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        added = set(out.split())
+        assert "trevex.cli" in added
+        assert added.isdisjoint({"dataclasses", "inspect", "signal", "typing",
+                                 "trevex.verify"}), sorted(added)
+
 
 class TestReadme:
     def test_library_example_matches_cli(self, tmp_path, monkeypatch):

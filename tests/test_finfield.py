@@ -219,6 +219,57 @@ class TestBinaryField:
             BinaryField(3, 0b111)
 
 
+class TestFieldValues:
+    """Fields are immutable values: equal fields compare and hash alike,
+    assignment raises and the repr names every field."""
+
+    @pytest.mark.parametrize("make", [lambda: PrimeField(101),
+                                      lambda: BinaryField(3, 0b1011)],
+                             ids=["prime", "binary"])
+    def test_equal_fields_hash_alike(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_unequal_fields(self):
+        assert PrimeField(101) != PrimeField(103)
+        assert BinaryField(3, 0b1011) != BinaryField(3, 0b1101)
+        assert PrimeField(3) != BinaryField(1, 0b11)
+        assert PrimeField(5) != 5
+
+    def test_pinned_field_equals_a_fresh_one(self):
+        assert find_irreducible(8) == BinaryField(8, PINNED_MODULI[8])
+        assert field_for_order(101) == PrimeField(101)
+
+    @pytest.mark.parametrize("field, name", [(PrimeField(5), "p"),
+                                             (BinaryField(3, 0b1011), "poly")],
+                             ids=["prime", "binary"])
+    def test_assignment_raises(self, field, name):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(field, name, 7)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            field.extra = 1
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(field, name)
+        assert getattr(field, name) in (5, 0b1011)
+
+    def test_repr_names_the_fields(self):
+        assert repr(PrimeField(5)) == "PrimeField(p=5)"
+        assert repr(BinaryField(3, 0b1011)) == "BinaryField(l=3, poly=11)"
+
+    def test_positional_and_keyword_construction(self):
+        assert PrimeField(p=7) == PrimeField(7)
+        assert BinaryField(l=3, poly=0b1011) == BinaryField(3, 0b1011)
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match="p=100 is not prime"):
+            PrimeField(100)
+        with pytest.raises(ValueError, match=r"exceeds 2\*\*61 - 1"):
+            PrimeField((1 << 61) + 15)  # the least prime past 2**61
+        with pytest.raises(ValueError, match="poly degree != 3"):
+            BinaryField(3, 0b111)
+
+
 class TestEvalAll:
     """A design row evaluates its polynomial at every element at once; that
     must equal per-point Horner for degrees 0 to 3."""

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from trevex import params
 from trevex.bitext import from_params
-from trevex.params import (InfeasibleParameters, RKind,
+from trevex.params import (ExtractorParams, InfeasibleParameters, RKind,
                            binary_entropy, binary_entropy_inv, ceil_log2,
                            derive_params, lu_params, max_output_len,
                            rsh_params, solve_w, xor_params)
@@ -145,6 +145,40 @@ class TestLuParams:
     def test_domain_error(self):
         with pytest.raises(InfeasibleParameters):
             lu_params(1 << 16, 16, 0.9, 0.7, 1e-3)
+
+
+class TestExtractorParams:
+    def test_defaults(self):
+        p = ExtractorParams("rsh", 1024, 8, 0.9, RKind.ONE, 53.5, 32)
+        assert p.gamma is None and p.c is None
+        assert p == ExtractorParams(family="rsh", n=1024, m=8, alpha=0.9,
+                                    r_kind=RKind.ONE, k=53.5, ell=32,
+                                    gamma=None, c=None)
+
+    def test_feasible(self):
+        p = ExtractorParams("rsh", 1024, 8, 0.5, RKind.ONE, 512.0, 32)
+        assert p.feasible  # k = alpha*n is within budget
+        p.k = 512.5
+        assert not p.feasible
+        p.k, p.m = 10.0, 0
+        assert not p.feasible
+
+    def test_equality(self):
+        p = xor_params(1 << 10, 8, 0.9, 0.5, 1e-3)
+        q = xor_params(1 << 10, 8, 0.9, 0.5, 1e-3)
+        assert p is not q and p == q
+        q.c = 3
+        assert p != q
+        assert lu_params(1 << 10, 8, 0.9, 0.45, 1e-3) != p
+        assert p != (p.family, p.n)
+        with pytest.raises(TypeError):
+            hash(p)  # mutable, so unhashable
+
+    def test_repr(self):
+        p = ExtractorParams("xor", 10, 1, 0.5, RKind.TWO_E, 3.0, 4, gamma=0.25)
+        assert repr(p) == ("ExtractorParams(family='xor', n=10, m=1, "
+                           "alpha=0.5, r_kind=<RKind.TWO_E: 'two_e'>, k=3.0, "
+                           "ell=4, gamma=0.25, c=None)")
 
 
 class TestKMonotonicity:

@@ -146,6 +146,36 @@ class TestSliceSubseed:
             slice_subseed(seed, r)
 
 
+class TestExtractionJob:
+    def _parts(self):
+        return BitBuffer(8, 0x5a), BitBuffer(4, 0x3), object(), object()
+
+    def test_default_workers(self):
+        x, seed, design, ext = self._parts()
+        job = ExtractionJob(x, seed, design, ext, 4)
+        assert job.workers == 1
+        assert (job.input, job.seed, job.design, job.extractor, job.m) == (
+            x, seed, design, ext, 4)
+
+    def test_keyword_construction_and_equality(self):
+        x, seed, design, ext = self._parts()
+        job = ExtractionJob(input=x, seed=seed, design=design, extractor=ext,
+                            m=4, workers=2)
+        assert job == ExtractionJob(BitBuffer(8, 0x5a), BitBuffer(4, 0x3),
+                                    design, ext, 4, 2)
+        assert job != ExtractionJob(x, seed, design, ext, 4)
+        assert job != ExtractionJob(x, seed, object(), ext, 4, 2)
+        job.workers = 1
+        assert job == ExtractionJob(x, seed, design, ext, 4)
+        with pytest.raises(TypeError):
+            hash(job)  # mutable, so unhashable
+
+    def test_repr_names_the_fields(self):
+        job = ExtractionJob(BitBuffer(1), BitBuffer(1), "d", "e", 3)
+        assert repr(job).startswith("ExtractionJob(input=<")
+        assert repr(job).endswith(" design='d', extractor='e', m=3, workers=1)")
+
+
 def _extractors(family: str, n: int):
     """Extractors of one family on n input bits, small enough for the
     naive oracle."""
