@@ -144,7 +144,7 @@ def _naive_basic_row(design: BasicDesign, i: int) -> list[int]:
 
 def _naive_design_rows(design, m: int) -> list[list[int]]:
     """Rows as the construction gives them, or as a loaded cache kept them
-    (a stored progression as its range), always as lists.  A loaded design
+    (a row below t as its range), always as lists.  A loaded design
     is an instance of its construction's class, so it is tested first."""
     if isinstance(design, LoadedBasicDesign):
         return [list(design._rows[i]) for i in range(m)]

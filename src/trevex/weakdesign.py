@@ -20,9 +20,9 @@ writes for that design.  Parameters that admit no design raise
 The pair-to-index map is (x, p(x)) -> x*t + p(x), fixed for reproducibility.
 
 Every design's ``compute_Si(i)`` returns row i as an ascending sequence of
-ints that the caller owns: a ``range`` when the row is the progression
-{x*t + a : x < t} (every row of a degree-0 design, c = 0), otherwise a
-fresh list.
+ints that the caller owns.  Basic row i < t is the constant polynomial i,
+{x*t + i : x < t}: it is a ``range`` in a degree-0 design (c = 0) and in a
+loaded one.  Any other row is a fresh list.
 """
 
 from __future__ import annotations
@@ -223,15 +223,17 @@ def serves(design, m: int) -> bool:
 
 # --- disk cache -----------------------------------------------------------
 #
-# magic "TWD1" | variant u8 | t_act u64 | m u64 | d u64
-#   basic:  m rows x t_act u32 indices
-#   block:  block count (ell+1) u64 | m_j u64 each
-#           | basic row count u64 | rows x t_act u32 (shared basic design)
-# trailing CRC-32 (u32) of everything before it, so that both ends stream
-# the rows one at a time.  All integers little-endian.  The stored rows are
-# basic rows, with elements below t_act**2, so t_act**2 <= 2**32.
+# magic "TWD2" | variant u8 | t_act u64 | m u64 | d u64
+#   block:  block count (ell+1) u64 | m_j u64 each | basic row count u64
+# then basic rows t_act, t_act + 1, ... of the basic row count (m for a
+# basic design), t_act u32 indices each, and a trailing CRC-32 (u32) of
+# everything before it, so that both ends stream the rows one at a time.
+# All integers little-endian.  Rows below t_act are the construction's
+# ranges and are not stored, so a degree-0 cache is its header and CRC.
+# The stored rows are basic rows, with elements below t_act**2, so
+# t_act**2 <= 2**32.
 
-_MAGIC = b"TWD1"
+_MAGIC = b"TWD2"
 
 
 def _header(design) -> bytes:
@@ -251,7 +253,7 @@ def _header(design) -> bytes:
 
 
 class LoadedBasicDesign(BasicDesign):
-    """A basic design whose rows are those ``design_load`` kept."""
+    """A basic design whose rows are those ``design_load`` built or read."""
 
     def __init__(self, t: int, m: int, rows):
         super().__init__(t, m)
@@ -273,45 +275,43 @@ class LoadedBlockDesign(BlockDesign):
 
 
 def design_save(design, path) -> None:
-    """Write the header, each row as it is made, then their CRC-32: a
-    design that no cache holds leaves no file, and a write that stops
-    early leaves a file too short for ``design_load``."""
+    """Write the header, each basic row from t_act on as it is made, then
+    their CRC-32: a design that no cache holds leaves no file, and a write
+    that stops early leaves a file too short for ``design_load``."""
     header = _header(design)
+    t = design.t_act
     if design.variant.is_block:  # memoised rows as kept, the rest computed
         memo, basic = design._row_cache, design._basic
-        rows = (memo.get(k) or basic.compute_Si(k) for k in range(basic.m))
+        rows = (memo.get(k) or basic.compute_Si(k) for k in range(t, basic.m))
     else:
-        rows = map(design.compute_Si, range(design.m))
+        rows = map(design.compute_Si, range(t, design.m))
     crc = zlib.crc32(header)
     with open(path, "wb") as fh:
         fh.write(header)
         for row in rows:  # one at a time
-            part = struct.pack(f"<{design.t_act}I", *row)
+            part = struct.pack(f"<{t}I", *row)
             crc = zlib.crc32(part, crc)
             fh.write(part)
         fh.write(struct.pack("<I", crc))
 
 
 class _Reader:
-    """A cache read front to back under a running CRC-32, in pieces of at
-    most 1 MiB: rows that a header declares but the file does not hold
-    cost no more memory than the bytes that do arrive."""
+    """A cache read front to back under a running CRC-32.  No piece is
+    longer than a row (256 KiB, since t_act**2 <= 2**32), so rows that a
+    header declares but the file does not hold cost no more memory than
+    the bytes that do arrive."""
 
     def __init__(self, fh):
         self.fh = fh
         self.pos = self.crc = 0
 
     def take(self, size: int) -> bytes:
-        parts = []
-        while size:
-            part = self.fh.read(min(size, 1 << 20))
-            if not part:
-                raise DesignFormatError("truncated design cache file")
-            self.crc = zlib.crc32(part, self.crc)
-            self.pos += len(part)
-            size -= len(part)
-            parts.append(part)
-        return b"".join(parts)
+        part = self.fh.read(size)  # buffered: short only at the end
+        if len(part) != size:
+            raise DesignFormatError("truncated design cache file")
+        self.crc = zlib.crc32(part, self.crc)
+        self.pos += size
+        return part
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -319,9 +319,9 @@ class _Reader:
 
 def design_load(path):
     """Load a design cache, read once front to back, into the design of
-    the variant, t and m that its header names.  Each stored row is kept
-    as it arrives: the progression a, a+t, ..., a+(t-1)t as a range, any
-    other row as a u32 array, so a degree-0 cache holds few bytes."""
+    the variant, t and m that its header names.  Basic rows below t are
+    built as the construction's ranges; each stored row is kept as the
+    u32 array it arrives as."""
     with open(path, "rb") as fh:
         rd = _Reader(fh)
         if rd.take(len(_MAGIC)) != _MAGIC:
@@ -346,36 +346,24 @@ def design_load(path):
             raise DesignFormatError(f"header is not the one saved for "
                                     f"({variant.name}, t_act={t}, {m=})")
         n_rows = design._basic.m if variant.is_block else m
-        size = rd.pos + 4 * n_rows * t + 4
+        size = rd.pos + 4 * t * max(n_rows - t, 0) + 4
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode) and st.st_size != size:  # a pipe has none
             raise DesignFormatError(f"design cache file holds {st.st_size} "
                                     f"bytes, its header declares {size}")
-        # As one little-endian int of its u32 lanes, the progression from a
-        # is a*ones + ramp, with ramp the progression from 0, which fits the
-        # lanes since t**2 <= 2**32.  The test is exact once its last
-        # element a+(t-1)t fits a lane: no lane carries.
-        ones = int.from_bytes(b"\1\0\0\0" * t, "little")
-        lanes = array("I", range(0, t * t, t))
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        ramp = int.from_bytes(lanes, "little")
-        for _ in range(n_rows):
-            raw = rd.take(4 * t)
-            a = int.from_bytes(raw[:4], "little")
-            if (int.from_bytes(raw[-4:], "little") == a + (t - 1) * t
-                    and int.from_bytes(raw, "little") == a * ones + ramp):
-                rows.append(range(a, a + t * t, t))
-            else:
-                rows.append(array("I", raw))
-                if sys.byteorder == "big":  # the rows are stored little-endian
-                    rows[-1].byteswap()
+        stored = [array("I", rd.take(4 * t)) for _ in range(t, n_rows)]
+        if sys.byteorder == "big":  # the rows are stored little-endian
+            for row in stored:
+                row.byteswap()
         crc = rd.crc
         (stored_crc,) = rd.unpack("<I")
         if fh.read(1):
             raise DesignFormatError("trailing bytes in design cache file")
     if crc != stored_crc:
         raise DesignFormatError("checksum mismatch")
+    # built once the file has backed its header: up to 65,536 ranges
+    rows += (range(i, i + t * t, t) for i in range(min(t, n_rows)))
+    rows += stored
     if variant.is_block:
         design._row_cache.update(enumerate(rows))
     return design

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import struct
@@ -15,8 +16,8 @@ from trevex import cli
 from trevex.bitext import from_params
 from trevex.params import RKind, max_output_len, rsh_params
 from trevex.trevisan import BitBuffer
-from trevex.weakdesign import (DesignVariant, design_load, design_save,
-                               make_design)
+from trevex.weakdesign import (DesignVariant, _header, design_load,
+                               design_save, make_design)
 from trevex.weakdesign import LoadedBasicDesign
 
 
@@ -377,18 +378,20 @@ class TestDesignTools:
         assert rep["overlap_bound"] == bound  # 543657*m/100000, exactly
 
     def test_duplicate_row_past_the_old_budget_exits_5(self, tmp_path, capsys):
-        # t = 41: row 5, a copy of row 4, shares all 41 elements with it
+        # t = 41: row 45, a copy of row 44 (p(x) = x + 3), shares all 41
+        # elements with it; each constant row 0-40 meets it once, and rows
+        # 41-43, p(x) = x + 0, 1, 2, are parallel to it and never do.
         good = make_design(DesignVariant.GFP, 41, 64)
         rows = [good.compute_Si(i) for i in range(64)]
-        rows[5] = list(rows[4])
+        rows[45] = list(rows[44])
         bad = LoadedBasicDesign(good.t_act, 64, rows)
         cache = tmp_path / "dup.twd"
         design_save(bad, cache)
         assert run(["--verify-design", str(cache)]) == 5
         captured = capsys.readouterr()
         assert "verified" not in captured.out
-        assert "row 5 overlap sum" in captured.err
-        assert str(2 ** 41 + 4) in captured.err
+        assert "row 45 overlap sum" in captured.err
+        assert str(2 ** 41 + 41 * 2 + 3) in captured.err
 
     def test_corrupted_cache_exits_4(self, tmp_path):
         cache = tmp_path / "design.twd"
@@ -400,23 +403,24 @@ class TestDesignTools:
         assert run(["--verify-design", str(cache)]) == 4
 
     def test_bad_design_exits_5(self, tmp_path, capsys):
-        # m > t: degree 1, so every row is a list the test may change
+        # m > t: degree 1, so every row is a list the test may change, and
+        # rows 11 to 19 are stored
         good = make_design(DesignVariant.GFP, 11, 20)
         rows = [good.compute_Si(i) for i in range(20)]
-        rows[3][0] = rows[3][1]  # duplicate element: |S_3| < t
+        rows[13][0] = rows[13][1]  # duplicate element: |S_13| < t
         bad = LoadedBasicDesign(good.t_act, 20, rows)
         with pytest.raises(TypeError):  # degree-0 rows are ranges
             make_design(DesignVariant.GFP, 11, 8).compute_Si(3)[0] = 0
         cache = tmp_path / "bad.twd"
         design_save(bad, cache)
         assert run(["--verify-design", str(cache)]) == 5
-        assert "row 3" in capsys.readouterr().err
+        assert "row 13" in capsys.readouterr().err
 
 
     def test_cache_of_no_rows_exits_4(self, tmp_path, capsys):
         # A gfp header with t = 7, m = 0 and d = 49, and its CRC: no design
         # has m = 0, so neither command may take it for one.
-        head = b"TWD1" + struct.pack("<BQQQ", DesignVariant.GFP.value, 7, 0, 49)
+        head = b"TWD2" + struct.pack("<BQQQ", DesignVariant.GFP.value, 7, 0, 49)
         cache = tmp_path / "empty.twd"
         cache.write_bytes(head + struct.pack("<I", zlib.crc32(head)))
         assert run(["--verify-design", str(cache)]) == 4
@@ -450,18 +454,61 @@ class TestDesignTools:
     ], ids=["gf2x-t7", "gfp-t9"])
     def test_header_of_an_unrounded_t_exits_4(self, tag, t, d, tmp_path,
                                               capsys):
-        # A header whose t no design of its tag has, over t rows of t
-        # elements and their CRC: the first t rows of the gfp t = 7 design,
-        # and of the t = 11 design cut to t elements.
-        rows = make_design(DesignVariant.GFP, t, t)
-        head = b"TWD1" + struct.pack("<BQQQ", tag.value, t, t, d)
+        # A header with m = 2t whose t no design of its tag has, over its
+        # t stored rows t to 2t - 1 of t elements and their CRC: rows of the
+        # gfp t = 7 design, and of the t = 11 design cut to t elements.
+        rows = make_design(DesignVariant.GFP, t, 2 * t)
+        head = b"TWD2" + struct.pack("<BQQQ", tag.value, t, 2 * t, d)
         body = head + b"".join(struct.pack(f"<{t}I", *rows.compute_Si(i)[:t])
-                               for i in range(t))
+                               for i in range(t, 2 * t))
         cache = tmp_path / "retagged.twd"
         cache.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         assert run(["--verify-design", str(cache)]) == 4
         captured = capsys.readouterr()
         assert "verified" not in captured.out and f"t_act={t}" in captured.err
+
+    @staticmethod
+    def _twd1(design) -> bytes:
+        """The design's cache in the earlier TWD1 format: the same header
+        under the magic "TWD1", then every basic row, rows below t
+        included, then the CRC-32."""
+        basic = design._basic if design.variant.is_block else design
+        body = b"TWD1" + _header(design)[4:] + b"".join(
+            struct.pack(f"<{design.t_act}I", *basic.compute_Si(k))
+            for k in range(basic.m))
+        return body + struct.pack("<I", zlib.crc32(body))
+
+    @pytest.mark.parametrize("design", ["gfp", "block-gfp"])
+    def test_earlier_format_cache_exits_4(self, design, tmp_path, capsys):
+        # _twd1 gives the bytes the TWD1 format pinned for t = 11, m = 32
+        for variant, digest in [
+                (DesignVariant.GFP, "2e25ec6dc15a4c4f395b0df51cd48797"
+                                    "fa988a7b05895ae60a70069ea8332caf"),
+                (DesignVariant.BLOCK_GFP, "9b2467ae425edd0661c17d835d489dec"
+                                          "4cff07f82951e1a19fdff827af7f3b29")]:
+            old = self._twd1(make_design(variant, 11, 32))
+            assert hashlib.sha256(old).hexdigest() == digest
+        # the TWD1 cache of the very design the run builds and accepts
+        base = RSH_ARGS + ["-m", "64", "--design", design]
+        cache, old = tmp_path / "design.twd", tmp_path / "old.twd"
+        assert run(base + ["--gen-design", "--save-design", str(cache)]) == 0
+        old.write_bytes(self._twd1(design_load(cache)))
+        capsys.readouterr()
+        assert run(["--verify-design", str(old)]) == 4
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out and "bad magic" in captured.err
+        rng = random.Random(6)
+        inp, sd = tmp_path / "input.bin", tmp_path / "seed.bin"
+        inp.write_bytes(rng.randbytes(512))
+        sd.write_bytes(rng.randbytes(2048))
+        out = tmp_path / "out.bin"
+        extract = base + ["--input", str(inp), "--seed", str(sd),
+                          "--output", str(out)]
+        assert run(extract + ["--load-design", str(old)]) == 4
+        assert "bad magic" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(extract + ["--load-design", str(cache)]) == 0
+        assert out.exists()
 
 class TestFootprint:
     def test_seed_read_holds_the_data_once(self, tmp_path):

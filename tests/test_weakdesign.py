@@ -15,7 +15,7 @@ from trevex.bitext import LuExtractor, RshExtractor, XorExtractor
 from trevex.finfield import next_prime
 from trevex.params import TWO_E, InfeasibleParameters, RKind
 from trevex.weakdesign import (BasicDesign, BlockDesign, DesignFormatError, DesignVariant,
-                               block_partition, degree_bound, design_d,
+                               _header, block_partition, degree_bound, design_d,
                                design_load, design_save, make_design, round_t)
 from trevex.trevisan import ExtractionJob, extract_all
 from trevex.verify import _naive_basic_row, naive_extract
@@ -288,10 +288,10 @@ class TestDiskCache:
 
     def test_header_without_block_design_rejected(self, tmp_path):
         # t = 5 <= 2e admits no block partition, whatever the sizes say.
-        out = bytearray(b"TWD1")
+        out = bytearray(b"TWD2")
         out += struct.pack("<BQQQ", DesignVariant.BLOCK_GFP.value, 5, 20, 50)
         out += struct.pack("<QQQ", 2, 10, 10)
-        out += struct.pack("<Q", 10) + bytes(4 * 5 * 10)
+        out += struct.pack("<Q", 10) + bytes(4 * 5 * 5)  # rows 5 to 9
         out += struct.pack("<I", zlib.crc32(bytes(out)))
         path = tmp_path / "design.twd"
         path.write_bytes(bytes(out))
@@ -301,7 +301,7 @@ class TestDiskCache:
     def test_header_past_seed_range_rejected(self, tmp_path):
         # t = 2**62 lies past both the 2**61-bit seed range and the primes
         # a gfp design can round to; the rows are never read.
-        out = bytearray(b"TWD1")
+        out = bytearray(b"TWD2")
         out += struct.pack("<BQQQ", DesignVariant.GFP.value, 1 << 62, 1, 1)
         out += struct.pack("<I", zlib.crc32(bytes(out)))
         path = tmp_path / "design.twd"
@@ -333,12 +333,12 @@ class TestDiskCache:
     ], ids=["gf2x-t7", "gfp-t8", "gfp-t9", "gfp-t2"])
     def test_header_of_another_design_rejected(self, tag, t, d, rows_of, m,
                                                tmp_path):
-        # Whole rows and their CRC under a header whose (tag, t) no design
-        # of that tag has: the t read must be the design's own.
+        # Whole rows from t on and their CRC under a header whose (tag, t)
+        # no design of that tag has: the t read must be the design's own.
         source = make_design(*rows_of, m)
-        out = b"TWD1" + struct.pack("<BQQQ", tag.value, t, m, d)
+        out = b"TWD2" + struct.pack("<BQQQ", tag.value, t, m, d)
         out += b"".join(struct.pack(f"<{t}I", *source.compute_Si(i)[:t])
-                        for i in range(m))
+                        for i in range(t, m))
         path = tmp_path / "design.twd"
         path.write_bytes(out + struct.pack("<I", zlib.crc32(out)))
         with pytest.raises(DesignFormatError):
@@ -362,9 +362,9 @@ class TestDiskCache:
 
     @pytest.mark.parametrize("variant, digest", [
         (DesignVariant.GFP,
-         "2e25ec6dc15a4c4f395b0df51cd48797fa988a7b05895ae60a70069ea8332caf"),
+         "47f1af12b8786134b87b763dfe2a65c2b15f06512a4f22b8f70a81441cae26be"),
         (DesignVariant.BLOCK_GFP,
-         "9b2467ae425edd0661c17d835d489dec4cff07f82951e1a19fdff827af7f3b29"),
+         "ce3aa65785993232c7d1915b00292b8fd0c97d25d31e2607e7a16297730b0904"),
     ], ids=["gfp", "block-gfp"])
     def test_saved_bytes_pinned(self, variant, digest, tmp_path):
         path = tmp_path / "design.twd"
@@ -372,8 +372,8 @@ class TestDiskCache:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("variant, t_req, m", [
-        (DesignVariant.GFP, 1000, 64),
-        (DesignVariant.BLOCK_GFP, 1000, 100),
+        (DesignVariant.GFP, 100, 400),  # t = 101: rows 101 to 399 stored
+        (DesignVariant.BLOCK_GFP, 100, 1000),  # 183 basic rows, 82 stored
     ], ids=["gfp", "block-gfp"])
     def test_load_holds_the_file_once(self, variant, t_req, m, tmp_path):
         path = tmp_path / "design.twd"
@@ -388,9 +388,45 @@ class TestDiskCache:
         assert loaded.m == m
         assert peak <= size + 64 * 1024
 
+    @pytest.mark.parametrize("variant, m", [
+        (DesignVariant.GFP, 8), (DesignVariant.GFP, 40),
+        (DesignVariant.GF2X, 8), (DesignVariant.GF2X, 40),
+        (DesignVariant.BLOCK_GFP, 20), (DesignVariant.BLOCK_GFP, 200),
+        (DesignVariant.BLOCK_GF2X, 20), (DesignVariant.BLOCK_GF2X, 200),
+    ], ids=["gfp-c0", "gfp-c1", "gf2x-c0", "gf2x-c1", "block-gfp-c0",
+            "block-gfp-c1", "block-gf2x-c0", "block-gf2x-c1"])
+    def test_cache_stores_the_basic_rows_from_t(self, variant, m, tmp_path):
+        # t = 11 (gfp) or 16 (gf2x); n basic rows, of which rows t and up
+        # are stored, so a degree-0 design (n <= t) stores none.
+        design = make_design(variant, 11, m)
+        sizes = design.m_list if variant.is_block else [m]
+        basic = design._basic if variant.is_block else design
+        t, n = design.t_act, basic.m
+        assert (basic.c == 0) == (n <= t) == (m in (8, 20))
+        path = tmp_path / "design.twd"
+        design_save(design, path)
+        assert path.stat().st_size == (len(_header(design))
+                                       + 4 * t * max(n - t, 0) + 4)
+        loaded = design_load(path)
+        i = 0
+        for size in sizes:  # basic row k of each block
+            for k in range(size):
+                row, want = loaded.compute_Si(i), list(design.compute_Si(i))
+                assert list(row) == want
+                if k < t:
+                    assert type(row) is range
+                else:
+                    assert type(row) is list
+                    row[0] = -1
+                    assert loaded.compute_Si(i) == want
+                i += 1
+        again = tmp_path / "again.twd"
+        design_save(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_degree_zero_cache_is_never_held_whole(self, tmp_path):
-        # t = 1009 > m: every row is a progression, kept as a range on
-        # load and written one at a time on save.
+        # t = 1009 > m: every row is below t, so none is stored, and each
+        # is built as a range on load.
         path = tmp_path / "design.twd"
         design = make_design(DesignVariant.GFP, 1000, 64)
         tracemalloc.start()
@@ -402,23 +438,24 @@ class TestDiskCache:
             load_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        size = path.stat().st_size
-        assert size == 29 + 4 * 1009 * 64 + 4
-        assert save_peak < size / 4 and load_peak < size / 4
+        assert path.stat().st_size == 29 + 4
+        # a quarter of the 4 * t * m bytes the rows would take stored
+        assert save_peak < 1009 * 64 and load_peak < 1009 * 64
         assert all(type(loaded.compute_Si(i)) is range for i in range(64))
 
     def test_save_that_stops_early_leaves_a_rejected_file(self, tmp_path,
                                                           monkeypatch):
+        # t = 7, m = 20: rows 7 to 19 are stored, and row 12 stops the save
         path = tmp_path / "design.twd"
         design = make_design(DesignVariant.GFP, 7, 20)
         compute = BasicDesign.compute_Si
 
-        def fail_at_row_5(self, i):
-            if i == 5:
+        def fail_at_row_12(self, i):
+            if i == 12:
                 raise RuntimeError("stopped")
             return compute(self, i)
 
-        monkeypatch.setattr(BasicDesign, "compute_Si", fail_at_row_5)
+        monkeypatch.setattr(BasicDesign, "compute_Si", fail_at_row_12)
         with pytest.raises(RuntimeError):
             design_save(design, path)
         assert path.stat().st_size == 29 + 4 * 7 * 5
@@ -448,7 +485,8 @@ class TestDiskCache:
             assert list(loaded.compute_Si(i)) == list(design.compute_Si(i))
 
     def test_pipe_with_a_flipped_row_byte_rejected(self, tmp_path):
-        # The flip lies in row 3; only the CRC, read last, can tell.
+        # The flip lies in row 10, the fourth stored; only the CRC, read
+        # last, can tell.
         path = tmp_path / "design.twd"
         design_save(make_design(DesignVariant.GFP, 7, 20), path)
         data = bytearray(path.read_bytes())
@@ -468,11 +506,11 @@ class TestDiskCache:
         # largest block has 202,243,861,593 rows.
         if variant is DesignVariant.GFP:
             t = 65_521
-            out = b"TWD1" + struct.pack("<BQQQ", variant.value, t, 1 << 30,
+            out = b"TWD2" + struct.pack("<BQQQ", variant.value, t, 1 << 30,
                                         t * t)
         else:
             m_list = block_partition(1 << 40, 7)
-            out = b"TWD1" + struct.pack("<BQQQ", variant.value, 7, 1 << 40,
+            out = b"TWD2" + struct.pack("<BQQQ", variant.value, 7, 1 << 40,
                                         len(m_list) * 49)
             out += struct.pack(f"<Q{len(m_list)}QQ", len(m_list), *m_list,
                                max(m_list))
@@ -502,18 +540,18 @@ class TestDiskCache:
         row = loaded.compute_Si(7)
         row[0] = 999
         assert loaded.compute_Si(7)[0] != 999
-        # row 0 is the progression {7x}, served as an immutable range
+        # row 0 is the constant polynomial 0, served as an immutable range
         with pytest.raises(TypeError):
             loaded.compute_Si(0)[0] = 999
 
     @staticmethod
     def _planted_basic_cache(path, rows: dict[int, list[int]]):
-        """A degree-0 gfp cache (t = 11, m = 8) with the given rows
-        replaced and its CRC recomputed."""
-        design_save(make_design(DesignVariant.GFP, 11, 8), path)
+        """A degree-1 gfp cache (t = 11, m = 20, rows 11 to 19 stored)
+        with the given stored rows replaced and its CRC recomputed."""
+        design_save(make_design(DesignVariant.GFP, 11, 20), path)
         data = bytearray(path.read_bytes())
         for k, row in rows.items():
-            at = 29 + 4 * 11 * k  # magic, variant, (t, m, d)
+            at = 29 + 4 * 11 * (k - 11)  # magic, variant, (t, m, d)
             data[at:at + 44] = struct.pack("<11I", *row)
         data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
         path.write_bytes(bytes(data))
@@ -521,49 +559,42 @@ class TestDiskCache:
 
     @pytest.mark.parametrize("family", ["xor", "rsh", "lu"])
     def test_loaded_rows_are_never_replaced(self, family, tmp_path):
-        # row 3: p(x) = x + 3, no progression; row 5: the progression {11x + 2};
-        # row 1: the progression {11x + 1} but for its middle element, so
-        # only the whole-row comparison can tell
-        affine = BasicDesign(11, 20).compute_Si(14)
-        assert affine != list(range(3, 124, 11))
+        # row 12 (p(x) = x + 1) holds row 16's p(x) = x + 5; row 14 holds
+        # the progression {11x + 2}, which is row 2; row 18 holds the
+        # progression {11x + 1} but for its middle element.  Each is
+        # served as stored, never as the row the construction gives.
+        computed = BasicDesign(11, 20)
+        affine = computed.compute_Si(16)
         near = list(range(1, 122, 11))
         near[5] += 1
         loaded = self._planted_basic_cache(
             tmp_path / "design.twd",
-            {1: near, 3: affine, 5: list(range(2, 123, 11))})
-        row = loaded.compute_Si(1)
-        assert type(row) is list and row == near
-        row = loaded.compute_Si(3)
-        assert type(row) is list and row == affine
-        row = loaded.compute_Si(5)
+            {12: affine, 14: list(range(2, 123, 11)), 18: near})
+        for i, want in [(12, affine), (14, list(range(2, 123, 11))),
+                        (18, near)]:
+            row = loaded.compute_Si(i)
+            assert type(row) is list and row == want != computed.compute_Si(i)
+        row = loaded.compute_Si(2)
         assert type(row) is range and row == range(2, 123, 11)
         extractor = {"xor": XorExtractor(64, 1), "rsh": RshExtractor(64, 2),
                      "lu": LuExtractor(64, 1, 2)}[family]
         rng = random.Random(3)
         job = ExtractionJob(input=rand_buf(rng, 64), seed=rand_buf(rng, 121),
-                            design=loaded, extractor=extractor, m=8)
+                            design=loaded, extractor=extractor, m=20)
         assert extract_all(job) == naive_extract(job)
-
-    def test_row_past_u32_is_no_progression(self, tmp_path):
-        # The progression from 2**32 - 50 wraps its last six lanes.
-        wrapped = [(2**32 - 50 + 11 * x) % 2**32 for x in range(11)]
-        loaded = self._planted_basic_cache(tmp_path / "design.twd",
-                                           {6: wrapped})
-        row = loaded.compute_Si(6)
-        assert type(row) is list and row == wrapped
 
     @pytest.mark.parametrize("family", ["xor", "rsh", "lu"])
     def test_planted_block_row_is_served_by_every_block(self, family,
                                                         tmp_path):
-        # block-gfp, t = 11, m = 100: shared basic row 2, the progression
-        # {11x + 2}, replaced by basic row 13, p(x) = x + 2, CRC recomputed
-        design = make_design(DesignVariant.BLOCK_GFP, 11, 100)
-        planted = design._basic.compute_Si(13)
-        assert planted != list(design._basic.compute_Si(2))
+        # block-gfp, t = 11, m = 200: shared basic row 13, p(x) = x + 2,
+        # replaced by basic row 2, the progression {11x + 2}, CRC recomputed
+        design = make_design(DesignVariant.BLOCK_GFP, 11, 200)
+        planted = list(design._basic.compute_Si(2))
+        assert planted != design._basic.compute_Si(13)
         path = tmp_path / "design.twd"
         design_save(design, path)
         data = bytearray(path.read_bytes())
-        # magic, variant, (t, m, d), block count, sizes, row count, rows 0-1
+        # magic, variant, (t, m, d), block count, sizes, row count, rows 11-12
         at = 29 + 8 * (len(design.m_list) + 2) + 4 * 11 * 2
         data[at:at + 44] = struct.pack("<11I", *planted)
         data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
@@ -571,18 +602,18 @@ class TestDiskCache:
         loaded = design_load(path)
         first, served = 0, 0
         for j, mj in enumerate(loaded.m_list):
-            if mj > 2:
-                row = loaded.compute_Si(first + 2)
+            if mj > 13:
+                row = loaded.compute_Si(first + 13)
                 assert row == [e + j * 121 for e in planted]
                 served += 1
             first += mj
-        assert served == 11
+        assert served == 5
         extractor = {"xor": XorExtractor(64, 1), "rsh": RshExtractor(64, 2),
                      "lu": LuExtractor(64, 1, 2)}[family]
         rng = random.Random(4)
         job = ExtractionJob(input=rand_buf(rng, 64),
                             seed=rand_buf(rng, loaded.d), design=loaded,
-                            extractor=extractor, m=100)
+                            extractor=extractor, m=200)
         assert extract_all(job) == naive_extract(job)
         again = tmp_path / "again.twd"
         design_save(loaded, again)
