@@ -4,23 +4,30 @@ Output bit i is extractor.extract(prepared, subseed_i), where prepared is
 extractor.prepare(input) and subseed_i is the seed restricted to S_i, as an
 int.  extract_all parses the input once per call and holds the prepared value
 only for the length of the call; the extractor keeps nothing, so a later call
-sees the input's current contents.  Bits are sharded contiguously across
+sees the input's current contents.  Beside the input it prepares the seed,
+once per call and before any fork: when the design can yield list rows
+(weakdesign.yields_lists, degree c >= 1), it builds the seed's digit view
+(SeedDigits), one ASCII digit per seed bit, d bytes in all, and
+slice_subseed reads each list row from it with one C-level itemgetter.
+Range rows are read from the seed's packed bytes by strided slices, and a
+degree-0 design builds no view.  Bits are sharded contiguously across
 processes: the caller computes the first shard itself, and each other shard
-is computed by a child forked from the caller, which inherits the job and
-the prepared input (nothing is pickled on the way in) and writes its packed
-bits back through a pipe.  Each process first moves itself onto a CPU of its
-own, without staying pinned there.  Shards land in disjoint bit ranges, so
-the output is byte-identical for any worker count; no job state lives at
-module level.
+is computed by a child forked from the caller, which inherits the job, the
+prepared input and the digit view (nothing is pickled on the way in) and
+writes its packed bits back through a pipe.  Each process first moves itself
+onto a CPU of its own, without staying pinned there.  Shards land in
+disjoint bit ranges, so the output is byte-identical for any worker count;
+no job state lives at module level.
 """
 
 from __future__ import annotations
 
 import io
 import os
+from operator import itemgetter
 
 from .params import Record
-from .weakdesign import serves
+from .weakdesign import serves, yields_lists
 
 
 class InsufficientSeedError(Exception):
@@ -100,20 +107,53 @@ class BitBuffer:
 _ASCII_BIT = [(b"0" * (1 << o) + b"1" * (1 << o)) * (128 >> o) for o in range(8)]
 
 
-def slice_subseed(seed: BitBuffer, indices) -> int:
-    """Bits of the seed at the given positions, in order, LSB-first.
+class SeedDigits:
+    """A seed as one extract_all call reads it when its design can yield
+    list rows: the BitBuffer's bytes, shared and not copied, and its digit
+    view, one ASCII digit (b"0" or b"1") per bit, len_bits bytes.  Made
+    afresh for each call, since a BitBuffer is mutable."""
 
-    The bits are read straight from the seed's bytes and packed by int()
-    from a string of binary digits, last position first.  A range with a
-    positive step is read by strided byte slices: its positions j, j+8,
-    j+16, ... share one bit offset and lie step bytes apart."""
+    __slots__ = ("len_bits", "_buf", "digits")
+
+    def __init__(self, seed: BitBuffer):
+        self.len_bits = seed.len_bits
+        buf = self._buf = seed._buf
+        digits = bytearray(8 * len(buf))
+        # 32 KiB of the seed at a time, so that the view is the only
+        # allocation of a size near d
+        for at in range(0, len(buf), 1 << 15):
+            part = buf[at:at + (1 << 15)]
+            for o in range(8):
+                digits[8 * at + o:8 * (at + len(part)):8] = part.translate(
+                    _ASCII_BIT[o])
+        del digits[seed.len_bits:]  # the digits of the last byte's padding
+        self.digits = digits
+
+
+def slice_subseed(seed: BitBuffer | SeedDigits, indices) -> int:
+    """Bits of the seed at the given positions, in order, LSB-first; a
+    position outside [0, len_bits) raises IndexError.
+
+    The bits are read straight from the seed and packed by int() from a
+    string of binary digits, last position first.  A range with a positive
+    step is read by strided byte slices: its positions j, j+8, j+16, ...
+    share one bit offset and lie step bytes apart.  Other positions are
+    gathered by one itemgetter from a SeedDigits' digit view, whose own
+    IndexError bounds them above, or bit by bit from a BitBuffer."""
     if not indices:
         return 0
     strided = isinstance(indices, range) and indices.step > 0
-    lo, hi = ((indices[0], indices[-1]) if strided
-              else (min(indices), max(indices)))
-    if lo < 0 or hi >= seed.len_bits:
-        raise IndexError(f"subseed position outside [0, {seed.len_bits})")
+    if (indices[0] if strided else min(indices)) < 0:
+        raise _outside(seed)
+    if isinstance(seed, SeedDigits) and not strided:
+        try:
+            digits = itemgetter(*indices)(seed.digits)
+        except IndexError:
+            raise _outside(seed) from None
+        # itemgetter of one position gives its digit, not a tuple
+        return int(bytes(digits)[::-1], 2) if len(indices) > 1 else digits - 48
+    if (indices[-1] if strided else max(indices)) >= seed.len_bits:
+        raise _outside(seed)
     buf = seed._buf
     if not strided:
         bits = bytes([buf[i >> 3] >> (i & 7) & 1 for i in indices])
@@ -125,6 +165,10 @@ def slice_subseed(seed: BitBuffer, indices) -> int:
         digits[j::8] = buf[byte:byte + count * step:step].translate(
             _ASCII_BIT[pos & 7])
     return int(digits[::-1], 2)
+
+
+def _outside(seed: BitBuffer | SeedDigits) -> IndexError:
+    return IndexError(f"subseed position outside [0, {seed.len_bits})")
 
 
 class ExtractionJob(Record):
@@ -254,6 +298,11 @@ def extract_all(job: ExtractionJob) -> BitBuffer:
         raise ValueError(f"input has {len(job.input)} bits, extractor "
                          f"takes n={job.extractor.n}")
     prepared = job.extractor.prepare(job.input)
+    # This call's job reads the seed through its digit view, built before
+    # the fan-out so that every worker shares it.
+    if yields_lists(job.design):
+        job = ExtractionJob(job.input, SeedDigits(job.seed), job.design,
+                            job.extractor, job.m, job.workers)
     m = job.m
     workers = max(1, job.workers)
     if workers == 1 or m < 2 * workers:

@@ -42,32 +42,56 @@ def overlap_check(design) -> OverlapReport:
     """Checks, in one pass, that each row has t distinct elements in [0, d)
     (the first bad row ends the check), and max_i sum_{j<i} 2^{|S_j cap S_i|}
     against r*m: exactly m for block designs (r = 1), (543657/100000)*m for
-    basic designs (r = 2e), in exact integers.  Element k of row i is at
-    position i*t + k; last[e] is the latest position of element e, before[p]
-    the previous position of p's element: 4*d + 4*m*t bytes in all (a
-    design of 2**31 positions or more raises OverflowError).
+    basic designs (r = 2e), in exact integers.  Stride-t range rows
+    {a + x*t : x < t} are kept as their starts, by residue mod t: two meet
+    only in a common residue, in t - |a - b|/t elements.  The other rows'
+    elements are indexed: element k of row i is at position i*t + k;
+    last[e] is the latest position of element e, before[p] the previous
+    position of p's element: 4*d + 4*m*t bytes, allocated at the first
+    such row (a design of 2**31 positions or more raises OverflowError).
     """
     t, m, d = design.t_act, design.m, design.d
     num, den = ((m, 1) if design.variant.is_block
                 else (TWO_E_NUM * m, TWO_E_DEN))
-    last, before = array("i", [-1]) * d, array("i", [0]) * (m * t)
+    starts = {}  # a % t -> [(a, i), ...] of the stride-t range rows so far
+    last = before = None
     worst_row = worst_sum = 0
     for i in range(m):
         row = design.compute_Si(i)
-        if len(set(row)) != t or len(row) != t:
+        stride = isinstance(row, range) and row.step == t
+        distinct = len(row) if isinstance(row, range) else len(set(row))
+        if distinct != t or len(row) != t:
             return OverlapReport(i, worst_sum, num, den, False, f"row {i} has "
-                                 f"{len(set(row))} distinct elements, want {t}")
-        if min(row) < 0 or max(row) >= d:
+                                 f"{distinct} distinct elements, want {t}")
+        ends = (row[0], row[-1]) if isinstance(row, range) else row
+        if min(ends) < 0 or max(ends) >= d:
             return OverlapReport(i, worst_sum, num, den, False,
                                  f"row {i} outside [0, {d})")
-        hits = []
-        for pos, e in enumerate(row, i * t):
-            p = before[pos] = last[e]
-            last[e] = pos
-            while p >= 0:
-                hits.append(p)
-                p = before[p]
-        shared = Counter(map(floordiv, hits, repeat(t)))
+        shared = Counter()  # earlier row -> elements shared with this one
+        if stride:  # only stride rows of its residue can meet it
+            a = row.start
+            for b, j in starts.get(a % t, ()):
+                if abs(a - b) < t * t:
+                    shared[j] += t - abs(a - b) // t
+            starts.setdefault(a % t, []).append((a, i))
+        elif starts:  # each element meets the stride rows of its residue
+            for e in row:
+                for b, j in starts.get(e % t, ()):
+                    if b <= e < b + t * t:
+                        shared[j] += 1
+        if last is None and not stride:
+            last, before = array("i", [-1]) * d, array("i", [0]) * (m * t)
+        if last is not None:  # the indexed rows it meets; stride rows stay out
+            hits = []
+            for pos, e in enumerate(row, i * t):
+                p = last[e]
+                if not stride:
+                    before[pos] = p
+                    last[e] = pos
+                while p >= 0:
+                    hits.append(p)
+                    p = before[p]
+            shared.update(map(floordiv, hits, repeat(t)))
         total = i - len(shared) + sum(1 << c for c in shared.values())
         if total > worst_sum:
             worst_row, worst_sum = i, total

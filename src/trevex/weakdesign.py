@@ -221,6 +221,13 @@ def serves(design, m: int) -> bool:
     return design.m == m if design.variant.is_block else design.m >= m
 
 
+def yields_lists(design) -> bool:
+    """Whether compute_Si can return a list: a basic design of degree
+    c >= 1, or a block design over one; every row of a degree-0 design is
+    a range."""
+    return (design._basic if design.variant.is_block else design).c >= 1
+
+
 # --- disk cache -----------------------------------------------------------
 #
 # magic "TWD2" | variant u8 | t_act u64 | m u64 | d u64
@@ -229,9 +236,9 @@ def serves(design, m: int) -> bool:
 # basic design), t_act u32 indices each, and a trailing CRC-32 (u32) of
 # everything before it, so that both ends stream the rows one at a time.
 # All integers little-endian.  Rows below t_act are the construction's
-# ranges and are not stored, so a degree-0 cache is its header and CRC.
-# The stored rows are basic rows, with elements below t_act**2, so
-# t_act**2 <= 2**32.
+# ranges and are not stored, so a degree-0 cache is its header and CRC, at
+# any t_act.  Stored rows are basic rows, with elements below t_act**2, so
+# a cache that stores any has t_act**2 <= 2**32.
 
 _MAGIC = b"TWD2"
 
@@ -240,7 +247,7 @@ def _header(design) -> bytes:
     """The header, up to its rows, that ``design_save`` writes for the
     design; raises ``DesignFormatError`` when a cache cannot hold it."""
     t = design.t_act
-    if t * t > 1 << 32:
+    if yields_lists(design) and t * t > 1 << 32:  # list rows are stored
         raise DesignFormatError(f"t_act={t} has row elements past the u32 "
                                 f"range of a design cache")
     head = _MAGIC + struct.pack("<BQQQ", design.variant.value, t, design.m,
@@ -297,7 +304,8 @@ def design_save(design, path) -> None:
 
 class _Reader:
     """A cache read front to back under a running CRC-32.  No piece is
-    longer than a row (256 KiB, since t_act**2 <= 2**32), so rows that a
+    longer than a row (256 KiB, since a cache stores rows only when
+    t_act**2 <= 2**32), so rows that a
     header declares but the file does not hold cost no more memory than
     the bytes that do arrive."""
 

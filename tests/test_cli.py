@@ -393,6 +393,26 @@ class TestDesignTools:
         assert "row 45 overlap sum" in captured.err
         assert str(2 ** 41 + 41 * 2 + 3) in captured.err
 
+    @pytest.mark.parametrize("variant, m", [
+        (DesignVariant.GFP, 8), (DesignVariant.BLOCK_GFP, 40)],
+        ids=["gfp", "block-gfp"])
+    def test_duplicate_range_row_exits_5(self, variant, m, tmp_path, capsys,
+                                         monkeypatch):
+        # A degree-0 cache (t = 11), every row a stride-t range that the
+        # check reads by its start alone: row 5, given as row 3, shares
+        # all 11 elements with it and none with rows 0, 1, 2 and 4.
+        cache = tmp_path / "design.twd"
+        design_save(make_design(variant, 11, m), cache)
+        loaded = type(design_load(cache))
+        compute = loaded.compute_Si
+        monkeypatch.setattr(loaded, "compute_Si",
+                            lambda self, i: compute(self, 3 if i == 5 else i))
+        assert run(["--verify-design", str(cache)]) == 5
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out
+        assert (f"row 5 overlap sum {2 ** 11 + 4} exceeds the r*m bound"
+                in captured.err)
+
     def test_corrupted_cache_exits_4(self, tmp_path):
         cache = tmp_path / "design.twd"
         design_save(make_design(DesignVariant.GFP, 11, 32), cache)
@@ -439,14 +459,22 @@ class TestDesignTools:
 
     def test_design_past_u32_elements_exits_4_without_file(self, tmp_path,
                                                           capsys):
-        # A feasible gfp design of t_act = 72,101, d = 5,198,554,201: its
-        # row elements pass the u32 a cache stores them as.
+        # A feasible gfp design of t_act = 120,163 and m = 130,000 > t_act
+        # (c = 1), d = 14,439,146,569: the row elements it would store from
+        # t on pass the u32 a cache stores them as.
         cache = tmp_path / "design.twd"
+        assert run(["--bitext", "xor", "-n", "1048576", "--alpha", "0.9",
+                    "--mu", "0.03", "--eps", "1e-3", "-m", "130000",
+                    "--gen-design", "--save-design", str(cache)]) == 4
+        assert "t_act=120163" in capsys.readouterr().err
+        assert not cache.exists()
+        # The degree-0 design of t_act = 72,101 and m = 4 stores no row,
+        # so its cache is its header and CRC.
         assert run(["--bitext", "xor", "-n", "4096", "--alpha", "0.9",
                     "--mu", "0.03", "--eps", "1e-3", "-m", "4",
-                    "--gen-design", "--save-design", str(cache)]) == 4
-        assert "t_act=72101" in capsys.readouterr().err
-        assert not cache.exists()
+                    "--gen-design", "--save-design", str(cache)]) == 0
+        assert "t_act=72101" in capsys.readouterr().out
+        assert cache.stat().st_size == 29 + 4
 
     @pytest.mark.parametrize("tag, t, d", [
         (DesignVariant.GF2X, 7, 64),  # gf2x rounds t = 7 up to 8

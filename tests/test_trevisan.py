@@ -14,7 +14,8 @@ from trevex.bitext import LuExtractor, RshExtractor, XorExtractor
 from trevex.trevisan import (BitBuffer, ExtractionJob, InsufficientSeedError,
                              extract_all, slice_subseed)
 from trevex.verify import naive_extract
-from trevex.weakdesign import DesignVariant, make_design
+from trevex.weakdesign import (DesignVariant, design_load, design_save,
+                               make_design)
 
 from conftest import FAMILIES, ones, rand_buf, rand_job
 
@@ -146,6 +147,40 @@ class TestSliceSubseed:
             slice_subseed(seed, r)
 
 
+class TestGatherFromDigits:
+    """slice_subseed on a BitBuffer, bit by bit, and on the SeedDigits that
+    extract_all makes of it, by one itemgetter over its digit view."""
+
+    @pytest.mark.parametrize("indices", [
+        [], [5], [12, 3, 3, 20, 0, 12], [22], list(range(23))[::-1]],
+        ids=["empty", "one", "unsorted-repeated", "last-bit", "reversed"])
+    def test_list_positions(self, indices, rng):
+        seed = rand_buf(rng, 23)  # the last byte holds 7 bits
+        want = sum(seed.get_bits(i, 1) << j for j, i in enumerate(indices))
+        assert slice_subseed(seed, indices) == want
+        assert slice_subseed(trevisan.SeedDigits(seed), indices) == want
+
+    @pytest.mark.parametrize("position", [-1, 23], ids=["minus-one", "len"])
+    def test_position_outside_raises_the_same_error(self, position, rng):
+        seed = rand_buf(rng, 23)
+        for form in (seed, trevisan.SeedDigits(seed)):
+            for indices in ([position], [4, position, 0]):
+                with pytest.raises(IndexError) as info:
+                    slice_subseed(form, indices)
+                assert str(info.value) == "subseed position outside [0, 23)"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 80), st.randoms(use_true_random=False))
+    def test_view_matches_bits(self, bits, rnd):
+        seed = BitBuffer(bits, rnd.getrandbits(bits))
+        view = trevisan.SeedDigits(seed)
+        assert view.digits == bytes(b"01"[seed.get_bits(i, 1)]
+                                    for i in range(bits))
+        assert view._buf is seed._buf  # the bytes are shared, not copied
+        indices = [rnd.randrange(bits) for _ in range(rnd.randrange(40))]
+        assert slice_subseed(view, indices) == slice_subseed(seed, indices)
+
+
 class TestExtractionJob:
     def _parts(self):
         return BitBuffer(8, 0x5a), BitBuffer(4, 0x3), object(), object()
@@ -195,6 +230,9 @@ class _FaultyDesign:
         self.design, self.fault = design, fault
         self.d, self.t_act = design.d, design.t_act
         self.m, self.variant = design.m, design.variant
+
+    def __getattr__(self, name):  # the rest of the design's interface
+        return getattr(self.design, name)
 
     def compute_Si(self, i):
         self.fault(i)
@@ -503,6 +541,90 @@ class TestExtractAll:
             if abs(2 * ones(out) - len(out)) / len(out) ** 0.5 >= 5.0:
                 bad += 1
         assert bad == 0
+
+
+def _list_row_design(kind: str, tmp_path):
+    """A design whose rows include lists, for an extractor of t_req = 16."""
+    if kind == "loaded-gfp-c1":  # ranges below t, stored rows from t on
+        path = tmp_path / "design.twd"
+        design_save(make_design(DesignVariant.GFP, 16, 100), path)
+        design = design_load(path)
+        assert isinstance(design.compute_Si(0), range)
+        assert isinstance(design.compute_Si(99), list)
+        return design
+    variant, m = {"gfp-c1": (DesignVariant.GFP, 100),
+                  "gfp-c2": (DesignVariant.GFP, 300),
+                  "gf2x-c1": (DesignVariant.GF2X, 100),
+                  "block-gfp-c1": (DesignVariant.BLOCK_GFP, 300)}[kind]
+    return make_design(variant, 16, m)
+
+
+LIST_ROW_KINDS = ["gfp-c1", "gfp-c2", "gf2x-c1", "block-gfp-c1",
+                  "loaded-gfp-c1"]
+
+
+@pytest.mark.parametrize("kind", LIST_ROW_KINDS)
+def test_list_rows_match_naive_oracle_at_every_worker_count(kind, tmp_path):
+    design = _list_row_design(kind, tmp_path)
+    basic = design._basic if design.variant.is_block else design
+    assert basic.c == (2 if kind == "gfp-c2" else 1)
+    ext = XorExtractor(256, 2)
+    rng = random.Random(kind)
+    job = ExtractionJob(input=rand_buf(rng, 256), seed=rand_buf(rng, design.d),
+                        design=design, extractor=ext, m=design.m)
+    want = naive_extract(job)
+    for workers in (1, 2, 3):
+        job.workers = workers
+        assert extract_all(job) == want
+    # a view is made per call: the seed's new bytes are read
+    job.seed._buf[:] = bytes(b ^ 0x5A for b in job.seed._buf)
+    assert extract_all(job) == naive_extract(job) != want
+
+
+def _degree_zero_design(shape: str, tmp_path):
+    """The design of a small job of the lu-cached shape (a loaded gfp
+    cache) or the rsh-block shape (a computed block-gfp design), both with
+    every row a range."""
+    if shape == "lu-cached":
+        path = tmp_path / "design.twd"
+        design_save(make_design(DesignVariant.GFP, 154, 40), path)
+        return LuExtractor(4099, 9, 6), design_load(path)
+    return (RshExtractor(4096, 8),
+            make_design(DesignVariant.BLOCK_GFP, 16, 40))
+
+
+@pytest.mark.parametrize("shape", ["lu-cached", "rsh-block", "xor-gfp"])
+def test_one_view_per_call_before_any_fork(shape, tmp_path, monkeypatch):
+    """A degree-0 design builds no digit view; a list-row job builds one
+    per extract_all call, before it forks its workers."""
+    if shape == "xor-gfp":
+        ext, design = XorExtractor(256, 2), _list_row_design("gfp-c1", tmp_path)
+    else:
+        ext, design = _degree_zero_design(shape, tmp_path)
+        assert all(isinstance(design.compute_Si(i), range) for i in range(40))
+    events = []
+    fork = os.fork
+
+    class CountingDigits(trevisan.SeedDigits):
+        __slots__ = ()
+
+        def __init__(self, seed):
+            events.append("view")
+            super().__init__(seed)
+
+    def counting_fork():
+        events.append("fork")
+        return fork()
+
+    monkeypatch.setattr(trevisan, "SeedDigits", CountingDigits)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    rng = random.Random(shape)
+    job = ExtractionJob(input=rand_buf(rng, ext.n), seed=rand_buf(rng, design.d),
+                        design=design, extractor=ext, m=40, workers=3)
+    first = extract_all(job)
+    assert extract_all(job) == first == naive_extract(job)
+    view = ["view"] if shape == "xor-gfp" else []
+    assert events == 2 * (view + ["fork", "fork"])
 
 
 # SHA-256 of the 40 output bits of one fixed job per (family, variant).

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -8,7 +9,7 @@ from trevex.trevisan import extract_all
 from trevex.verify import BudgetExceededError, naive_extract, overlap_check
 from trevex.params import InfeasibleParameters
 from trevex.weakdesign import (BasicDesign, BlockDesign, DesignVariant,
-                               make_design)
+                               design_load, design_save, make_design)
 
 from conftest import FAMILIES, rand_buf, rand_job
 
@@ -81,6 +82,20 @@ class TestOverlapCheck:
         design.d = 2  # element 2 lies past d
         assert overlap_check(design).error == "row 0 outside [0, 2)"
 
+    def test_range_rows_allocate_nothing_of_size_d(self):
+        """Degree-0 rows are stride-t ranges, checked from their starts: the
+        check of t = 1,009, m = 64 (d = 1,018,081) holds less than d bytes,
+        where an index of 4 bytes per seed position would hold 4*d."""
+        design = BasicDesign(1009, 64)
+        tracemalloc.start()
+        try:
+            rep = overlap_check(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.worst_row, rep.worst_sum, rep.passed) == (63, 63, True)
+        assert peak < design.d
+
     def test_xor_gfp_design_pinned(self):
         """The xor-gfp benchmark workload's design (t_req = 1320,
         m = 1531), checked in full."""
@@ -107,9 +122,12 @@ def _mask_overlap(design) -> tuple[int, int]:
 
 
 class TestOverlapAgreesWithMasks:
-    def test_random_designs_of_every_variant(self):
+    def test_random_designs_of_every_variant(self, tmp_path):
+        # each design computed and loaded from its cache, where rows below
+        # t are ranges and the rest lists, block by block for a block design
         deadline = time.perf_counter() + 60.0
         rnd = random.Random(17)
+        path = tmp_path / "design.twd"
         for variant in DesignVariant:
             built = 0
             while built < 10:
@@ -119,11 +137,23 @@ class TestOverlapAgreesWithMasks:
                 except InfeasibleParameters:
                     continue
                 assert design.t_act <= 40
-                rep = overlap_check(design)
-                assert rep.passed
-                assert (rep.worst_row, rep.worst_sum) == _mask_overlap(design)
+                design_save(design, path)
+                for form in (design, design_load(path)):
+                    rep = overlap_check(form)
+                    assert rep.passed
+                    assert (rep.worst_row, rep.worst_sum) == _mask_overlap(form)
                 built += 1
         assert time.perf_counter() < deadline, "mask agreement exceeded 60 s"
+
+    def test_range_rows_among_list_rows(self):
+        # stride-t ranges after list rows, a list row equal to a range, and
+        # a range that meets list rows on both sides: row 2 sums 2 + 2**3
+        rows = [[0, 4, 8], range(1, 10, 3), [1, 4, 7], range(0, 9, 3),
+                [2, 3, 7]]
+        design = FakeDesign(rows)
+        design.compute_Si = rows.__getitem__
+        rep = overlap_check(design)
+        assert (rep.worst_row, rep.worst_sum) == _mask_overlap(design) == (2, 10)
 
     def test_planted_overlaps(self):
         rnd = random.Random(18)

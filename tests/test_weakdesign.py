@@ -16,7 +16,8 @@ from trevex.finfield import next_prime
 from trevex.params import TWO_E, InfeasibleParameters, RKind
 from trevex.weakdesign import (BasicDesign, BlockDesign, DesignFormatError, DesignVariant,
                                _header, block_partition, degree_bound, design_d,
-                               design_load, design_save, make_design, round_t)
+                               design_load, design_save, make_design, round_t,
+                               yields_lists)
 from trevex.trevisan import ExtractionJob, extract_all
 from trevex.verify import _naive_basic_row, naive_extract
 
@@ -347,7 +348,8 @@ class TestDiskCache:
     def test_cache_holds_the_designs_of_u32_elements(self, tmp_path):
         # Stored rows are basic rows, below t_act**2: a block design of
         # t = 2**16 and d = 2**33 round-trips, a gfp design of t = 65,537
-        # is refused before its file is opened.
+        # that stores rows from t on (m = t + 2, c = 1) is refused before
+        # its file is opened.
         design = make_design(DesignVariant.BLOCK_GF2X, 1 << 16, 7)
         assert design.d == 1 << 33
         path = tmp_path / "design.twd"
@@ -357,8 +359,30 @@ class TestDiskCache:
             assert list(loaded.compute_Si(i)) == list(design.compute_Si(i))
         path.unlink()
         with pytest.raises(DesignFormatError, match="t_act=65537"):
-            design_save(make_design(DesignVariant.GFP, 65_537, 7), path)
+            design_save(make_design(DesignVariant.GFP, 65_537, 65_539), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("variant, m", [
+        (DesignVariant.GFP, 10), (DesignVariant.BLOCK_GFP, 100)],
+        ids=["gfp", "block-gfp"])
+    def test_degree_zero_cache_past_u32_round_trips(self, variant, m,
+                                                    tmp_path):
+        # A degree-0 design stores no row, so its cache is its header and
+        # CRC at any t_act, here 65,537 with d past 2**32.
+        design = make_design(variant, 65_537, m)
+        assert design.t_act == 65_537 and design.d > 1 << 32
+        assert not yields_lists(design)
+        path = tmp_path / "design.twd"
+        design_save(design, path)
+        assert path.stat().st_size == len(_header(design)) + 4
+        loaded = design_load(path)
+        assert (loaded.variant, loaded.t_act, loaded.m, loaded.d) == (
+            design.variant, design.t_act, design.m, design.d)
+        for i in range(m):
+            row = loaded.compute_Si(i)
+            assert isinstance(row, range) and row == design.compute_Si(i)
+        design_save(loaded, tmp_path / "again.twd")
+        assert (tmp_path / "again.twd").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("variant, digest", [
         (DesignVariant.GFP,
