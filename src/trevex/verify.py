@@ -166,16 +166,24 @@ def _naive_basic_row(design: BasicDesign, i: int) -> list[int]:
     return sorted(out)
 
 
+def _loaded_basic_rows(design: LoadedBasicDesign, m: int) -> list[list[int]]:
+    """The first m rows of a loaded basic design: x*t + i for a row i
+    below t, then the rows as the cache stored them."""
+    t = design.t_act
+    rows = [[x * t + i for x in range(t)] for i in range(min(t, m))]
+    return rows + [list(row) for row in design._stored[:max(m - t, 0)]]
+
+
 def _naive_design_rows(design, m: int) -> list[list[int]]:
     """Rows as the construction gives them, or as a loaded cache kept them
     (a row below t as its range), always as lists.  A loaded design
     is an instance of its construction's class, so it is tested first."""
     if isinstance(design, LoadedBasicDesign):
-        return [list(design._rows[i]) for i in range(m)]
+        return _loaded_basic_rows(design, m)
     if isinstance(design, BasicDesign):
         return [_naive_basic_row(design, i) for i in range(m)]
     if isinstance(design, LoadedBlockDesign):
-        basic = [list(design._row_cache[k]) for k in range(max(design.m_list))]
+        basic = _loaded_basic_rows(design._basic, max(design.m_list))
     elif isinstance(design, BlockDesign):
         basic = [_naive_basic_row(design._basic, k)
                  for k in range(max(design.m_list))]

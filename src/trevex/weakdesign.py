@@ -224,8 +224,11 @@ def serves(design, m: int) -> bool:
 def yields_lists(design) -> bool:
     """Whether compute_Si can return a list: a basic design of degree
     c >= 1, or a block design over one; every row of a degree-0 design is
-    a range."""
-    return (design._basic if design.variant.is_block else design).c >= 1
+    a range.  A design that states no degree (c, or a block design's
+    _basic) may yield lists."""
+    basic = (getattr(design, "_basic", design) if design.variant.is_block
+             else design)
+    return getattr(basic, "c", 1) >= 1
 
 
 # --- disk cache -----------------------------------------------------------
@@ -247,6 +250,9 @@ def _header(design) -> bytes:
     """The header, up to its rows, that ``design_save`` writes for the
     design; raises ``DesignFormatError`` when a cache cannot hold it."""
     t = design.t_act
+    if design.d > MAX_SEED_BITS:  # no run's design; and d fits its u64
+        raise DesignFormatError(f"seed length d={design.d} of t_act={t} "
+                                f"exceeds addressable range")
     if yields_lists(design) and t * t > 1 << 32:  # list rows are stored
         raise DesignFormatError(f"t_act={t} has row elements past the u32 "
                                 f"range of a design cache")
@@ -260,22 +266,30 @@ def _header(design) -> bytes:
 
 
 class LoadedBasicDesign(BasicDesign):
-    """A basic design whose rows are those ``design_load`` built or read."""
+    """A basic design whose rows from t on are those ``design_load`` read;
+    a row below t is the construction's range, built when asked for."""
 
-    def __init__(self, t: int, m: int, rows):
+    def __init__(self, t: int, m: int, stored):
         super().__init__(t, m)
-        self._rows = rows
+        self._stored = stored  # basic rows t, t + 1, ...
 
     def compute_Si(self, i: int) -> range | list[int]:
         if not 0 <= i < self.m:
             raise IndexError(f"set index {i} outside [0, {self.m})")
-        row = self._rows[i]
-        return row if isinstance(row, range) else list(row)
+        t = self.t_act
+        if i < t:
+            return range(i, i + t * t, t)
+        return list(self._stored[i - t])
 
 
 class LoadedBlockDesign(BlockDesign):
-    """A block design whose row memo holds the shared basic rows that
-    ``design_load`` kept, so that no basic row is computed."""
+    """A block design over a loaded basic design, so that its row memo
+    fills from the basic rows that ``design_load`` read and no basic row
+    is computed."""
+
+    def __init__(self, t: int, m: int, stored):
+        super().__init__(t, m)
+        self._basic = LoadedBasicDesign(t, self._basic.m, stored)
 
     # an own attribute, since layer tracing wraps each class's own
     compute_Si = BlockDesign.compute_Si
@@ -327,9 +341,9 @@ class _Reader:
 
 def design_load(path):
     """Load a design cache, read once front to back, into the design of
-    the variant, t and m that its header names.  Basic rows below t are
-    built as the construction's ranges; each stored row is kept as the
-    u32 array it arrives as."""
+    the variant, t and m that its header names.  Each stored row is kept
+    as the u32 array it arrives as; no row below t is built here, so the
+    memory a load takes is bounded by the bytes the file holds."""
     with open(path, "rb") as fh:
         rd = _Reader(fh)
         if rd.take(len(_MAGIC)) != _MAGIC:
@@ -341,10 +355,10 @@ def design_load(path):
             raise DesignFormatError(f"unknown variant tag {variant_tag}") from exc
         t, m = rd.unpack("<QQ")
         no_design = f"{variant.name} admits no design of t_act={t}, {m=}"
-        rows = []  # a basic design's own; a block design's memo once read
+        stored = []  # the basic rows from t on, once read
         try:  # InfeasibleParameters, or a t that is no field order
-            design = (LoadedBlockDesign(t, m) if variant.is_block
-                      else LoadedBasicDesign(t, m, rows))
+            design = (LoadedBlockDesign if variant.is_block
+                      else LoadedBasicDesign)(t, m, stored)
         except ValueError as exc:
             raise DesignFormatError(no_design) from exc
         if design.variant is not variant:  # GF(2) is GF(p) and GF(2**l)
@@ -359,7 +373,7 @@ def design_load(path):
         if stat.S_ISREG(st.st_mode) and st.st_size != size:  # a pipe has none
             raise DesignFormatError(f"design cache file holds {st.st_size} "
                                     f"bytes, its header declares {size}")
-        stored = [array("I", rd.take(4 * t)) for _ in range(t, n_rows)]
+        stored += (array("I", rd.take(4 * t)) for _ in range(t, n_rows))
         if sys.byteorder == "big":  # the rows are stored little-endian
             for row in stored:
                 row.byteswap()
@@ -369,9 +383,4 @@ def design_load(path):
             raise DesignFormatError("trailing bytes in design cache file")
     if crc != stored_crc:
         raise DesignFormatError("checksum mismatch")
-    # built once the file has backed its header: up to 65,536 ranges
-    rows += (range(i, i + t * t, t) for i in range(min(t, n_rows)))
-    rows += stored
-    if variant.is_block:
-        design._row_cache.update(enumerate(rows))
     return design

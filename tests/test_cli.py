@@ -16,8 +16,8 @@ from trevex import cli
 from trevex.bitext import from_params
 from trevex.params import RKind, max_output_len, rsh_params
 from trevex.trevisan import BitBuffer
-from trevex.weakdesign import (DesignVariant, _header, design_load,
-                               design_save, make_design)
+from trevex.weakdesign import (DesignFormatError, DesignVariant, _header,
+                               design_load, design_save, make_design)
 from trevex.weakdesign import LoadedBasicDesign
 
 
@@ -384,7 +384,7 @@ class TestDesignTools:
         good = make_design(DesignVariant.GFP, 41, 64)
         rows = [good.compute_Si(i) for i in range(64)]
         rows[45] = list(rows[44])
-        bad = LoadedBasicDesign(good.t_act, 64, rows)
+        bad = LoadedBasicDesign(good.t_act, 64, rows[good.t_act:])
         cache = tmp_path / "dup.twd"
         design_save(bad, cache)
         assert run(["--verify-design", str(cache)]) == 5
@@ -428,7 +428,7 @@ class TestDesignTools:
         good = make_design(DesignVariant.GFP, 11, 20)
         rows = [good.compute_Si(i) for i in range(20)]
         rows[13][0] = rows[13][1]  # duplicate element: |S_13| < t
-        bad = LoadedBasicDesign(good.t_act, 20, rows)
+        bad = LoadedBasicDesign(good.t_act, 20, rows[good.t_act:])
         with pytest.raises(TypeError):  # degree-0 rows are ranges
             make_design(DesignVariant.GFP, 11, 8).compute_Si(3)[0] = 0
         cache = tmp_path / "bad.twd"
@@ -455,6 +455,66 @@ class TestDesignTools:
                                "--seed", str(sd), "--output", str(out),
                                "--load-design", str(cache)]) == 4
         assert "m=0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_of_a_huge_degree_zero_design_loads_bounded(self, tmp_path,
+                                                              capsys):
+        # A 33-byte gfp cache, header and CRC, of t = m = 1,000,000,007
+        # (degree 0, d below 2**61): it loads without building a row, and
+        # a job that is not its design exits 4 under the same small peak.
+        t = 1_000_000_007
+        head = b"TWD2" + struct.pack("<BQQQ", DesignVariant.GFP.value, t, t,
+                                     t * t)
+        cache = tmp_path / "huge.twd"
+        cache.write_bytes(head + struct.pack("<I", zlib.crc32(head)))
+        rng = random.Random(8)
+        inp, sd = tmp_path / "input.bin", tmp_path / "seed.bin"
+        inp.write_bytes(rng.randbytes(512))
+        sd.write_bytes(rng.randbytes(2048))
+        out = tmp_path / "out.bin"
+        tracemalloc.start()
+        try:
+            loaded = design_load(cache)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            code = run(RSH_ARGS + ["-m", "64", "--input", str(inp),
+                                   "--seed", str(sd), "--output", str(out),
+                                   "--load-design", str(cache)])
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load_peak < 1 << 16 and run_peak < 1 << 21
+        assert (loaded.t_act, loaded.m, loaded.d) == (t, t, t * t)
+        assert loaded.compute_Si(t - 1) == range(t - 1, t * t, t)
+        assert code == 4
+        assert f"t_act={t}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", [4_294_967_311, 1 << 33],
+                             ids=["gfp", "gf2x"])
+    def test_header_past_the_seed_range_exits_4(self, t, tmp_path, capsys):
+        # t >= 2**32: d = t*t passes both the 2**61 seed bound and the u64
+        # a header holds it in, so no cache can be of this design.
+        variant = DesignVariant.GFP if t % 2 else DesignVariant.GF2X
+        head = b"TWD2" + struct.pack("<BQQQ", variant.value, t, t,
+                                     (t * t) % (1 << 64))
+        cache = tmp_path / "huge.twd"
+        cache.write_bytes(head + struct.pack("<I", zlib.crc32(head)))
+        with pytest.raises(DesignFormatError, match="exceeds addressable"):
+            design_load(cache)
+        assert run(["--verify-design", str(cache)]) == 4
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out
+        assert f"d={t * t}" in captured.err
+        rng = random.Random(9)
+        inp, sd = tmp_path / "input.bin", tmp_path / "seed.bin"
+        inp.write_bytes(rng.randbytes(512))
+        sd.write_bytes(rng.randbytes(2048))
+        out = tmp_path / "out.bin"
+        assert run(RSH_ARGS + ["-m", "64", "--input", str(inp),
+                               "--seed", str(sd), "--output", str(out),
+                               "--load-design", str(cache)]) == 4
+        assert "exceeds addressable" in capsys.readouterr().err
         assert not out.exists()
 
     def test_design_past_u32_elements_exits_4_without_file(self, tmp_path,

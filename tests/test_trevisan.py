@@ -231,9 +231,6 @@ class _FaultyDesign:
         self.d, self.t_act = design.d, design.t_act
         self.m, self.variant = design.m, design.variant
 
-    def __getattr__(self, name):  # the rest of the design's interface
-        return getattr(self.design, name)
-
     def compute_Si(self, i):
         self.fault(i)
         return self.design.compute_Si(i)

@@ -5,6 +5,7 @@ import random
 import struct
 import threading
 import tracemalloc
+import types
 import zlib
 
 import pytest
@@ -192,6 +193,16 @@ class TestMakeDesign:
         assert make_design(DesignVariant.GFP, 10, 8).variant.r_kind is RKind.TWO_E
         assert (make_design(DesignVariant.BLOCK_GFP, 7, 20).variant.r_kind
                 is RKind.ONE)
+
+    @pytest.mark.parametrize("variant", list(DesignVariant),
+                             ids=lambda v: v.name.lower())
+    def test_yields_lists(self, variant):
+        # t = 11 or 16: degree 0 at the first m, degree 1 at the second
+        low, high = (20, 200) if variant.is_block else (8, 40)
+        assert not yields_lists(make_design(variant, 11, low))
+        assert yields_lists(make_design(variant, 11, high))
+        # a design that states no degree may yield lists
+        assert yields_lists(types.SimpleNamespace(variant=variant))
 
 
 class TestDiskCache:
@@ -450,7 +461,7 @@ class TestDiskCache:
 
     def test_degree_zero_cache_is_never_held_whole(self, tmp_path):
         # t = 1009 > m: every row is below t, so none is stored, and each
-        # is built as a range on load.
+        # is built as a range when it is asked for.
         path = tmp_path / "design.twd"
         design = make_design(DesignVariant.GFP, 1000, 64)
         tracemalloc.start()
