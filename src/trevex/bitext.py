@@ -5,22 +5,34 @@ construction.
 All three share one contract.  ``t_req`` is the subseed length consumed per
 output bit; each extractor is its only owner, and the CLI sizes the design
 from it.  ``prepare(input)`` parses a BitBuffer once into an immutable
-value (XOR and LU: its bytes; RSH: multiples of its packed polynomial
-coefficients), and ``extract(prepared, subseed)`` returns one bit, reading
-the subseed as an int whose bit j is subseed bit j.  Instances are
-immutable after configuration and reentrant.  A constructor raises
-InfeasibleParameters for a parameter set that admits no such extractor.
+value (XOR: its bytes; LU: its bytes zero-padded to side^2 bits; RSH:
+multiples of its packed polynomial coefficients), and
+``extract(prepared, subseeds)`` returns the bits of a run of subseeds as an
+int whose bit i is the output bit for subseeds[i], each subseed read as an
+int whose bit j is subseed bit j.  XOR and RSH compute a run bit by bit;
+LU walks the whole run at once.  Instances are immutable after
+configuration and reentrant.  A constructor raises InfeasibleParameters
+for a parameter set that admits no such extractor.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import reduce
-from operator import getitem, xor
+from operator import getitem, itemgetter, xor
 
 from .finfield import find_irreducible
 from .params import ExtractorParams, InfeasibleParameters, ceil_log2
 from .trevisan import BitBuffer
+
+
+def _bits(bit, prepared, subseeds) -> int:
+    """A run's bits by a one-bit step: bit i is bit(prepared, subseeds[i])."""
+    out = 0
+    for i, subseed in enumerate(subseeds):
+        out |= bit(prepared, subseed) << i
+    return out
 
 
 class XorExtractor:
@@ -46,7 +58,10 @@ class XorExtractor:
     def prepare(self, input: BitBuffer) -> bytes:
         return input.to_bytes()
 
-    def extract(self, prepared: bytes, subseed: int) -> int:
+    def extract(self, prepared: bytes, subseeds) -> int:
+        return _bits(self._bit, prepared, subseeds)
+
+    def _bit(self, prepared: bytes, subseed: int) -> int:
         n = self.n
         w = self.idx_width
         mask = (1 << w) - 1
@@ -164,8 +179,10 @@ class RshExtractor:
                            b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd))
         return tables
 
-    def extract(self, prepared: tuple[tuple[int, ...], ...],
-                subseed: int) -> int:
+    def extract(self, prepared: tuple[tuple[int, ...], ...], subseeds) -> int:
+        return _bits(self._bit, prepared, subseeds)
+
+    def _bit(self, prepared: tuple[tuple[int, ...], ...], subseed: int) -> int:
         l, w = self.l, self._slot
         mask = (1 << l) - 1
         size = -(-l // 8)
@@ -201,8 +218,11 @@ class RshExtractor:
 
 
 # Neighbor rules of the degree-8 expander on Z_side x Z_side, in fixed edge
-# label order (+ before -).  Each is an affine map of Z_side^2; LuExtractor
-# walks by composites of them, which it derives from this table.
+# label order (+ before -).  Rule b0 + 2*b1 + 4*b2 moves x (b2 = 0) or y
+# (b2 = 1) by a term in the other coordinate, 2y or else y + 1 for x, 2x or
+# else 2x + 1 for y (b1), added or else subtracted (b0).  LuExtractor walks by
+# _Lanes.step, which computes that reading of the table in lanes; the table
+# is the reference it is tested against.
 LU_NEIGHBOR_RULES = (
     lambda x, y, s: ((x + 2 * y) % s, y),
     lambda x, y, s: ((x - 2 * y) % s, y),
@@ -214,33 +234,150 @@ LU_NEIGHBOR_RULES = (
     lambda x, y, s: (x, (y - 2 * x - 1) % s),
 )
 
-
-def _affine(rule, side: int) -> tuple[int, ...]:
-    """(a, b, e, c, d, f) with rule(x, y) = (a*x + b*y + e, c*x + d*y + f)
-    mod side, read off the rule's images of (0, 0), (1, 0) and (0, 1)."""
-    e, f = rule(0, 0, side)
-    (ax, cx), (by, dy) = rule(1, 0, side), rule(0, 1, side)
-    return ((ax - e) % side, (by - e) % side, e,
-            (cx - f) % side, (dy - f) % side, f)
-
-
-def _then(m1, m2, side: int) -> tuple[int, ...]:
-    """The affine map m2 after m1, mod side."""
-    a1, b1, e1, c1, d1, f1 = m1
-    a2, b2, e2, c2, d2, f2 = m2
-    return ((a2 * a1 + b2 * c1) % side, (a2 * b1 + b2 * d1) % side,
-            (a2 * e1 + b2 * f1 + e2) % side,
-            (c2 * a1 + d2 * c1) % side, (c2 * b1 + d2 * d1) % side,
-            (c2 * e1 + d2 * f1 + f2) % side)
+# _TOP_BIT[o] maps a byte to 0x80 if it has bit o set, else to 0; _ONE_HOT
+# maps it to 1 << (its low 3 bits); _DIGITS maps 0 and 0x80 to "0" and "1".
+_TOP_BIT = [(bytes(1 << o) + b"\x80" * (1 << o)) * (128 >> o)
+            for o in range(8)]
+_ONE_HOT = bytes([1, 2, 4, 8, 16, 32, 64, 128]) * 32
+_DIGITS = bytes.maketrans(b"\0\x80", b"01")
+# Walk steps packed at a time, a multiple of 8: bounds the packed codes of
+# a run of 256 walks at 192 KiB.
+_CHUNK_STEPS = 1024
 
 
-def _walk_table(steps, k: int, side: int) -> tuple[tuple[int, ...], ...]:
-    """The 8^k composites of k steps; entry j takes the steps named by j's
-    base-8 digits, lowest digit first, as the walk reads its bits."""
-    table = [(1, 0, 0, 0, 1, 0)]
-    for _ in range(k):
-        table = [_then(m, s, side) for s in steps for m in table]
-    return tuple(table)
+def _bit_matrix(subseeds, lo: int, width: int) -> tuple[bytearray, int]:
+    """Bits [lo, lo + width) of every subseed, one byte 0x80 or 0 per bit,
+    and the row length: bit lo + j of subseeds[r] is at r * row + j, so the
+    strided slice [j::row] is bit lo + j of every subseed in order."""
+    size = -(-width // 8)
+    mask = (1 << width) - 1
+    packed = b"".join([(s >> lo & mask).to_bytes(size, "little")
+                       for s in subseeds])
+    matrix = bytearray(8 * len(packed))
+    for o in range(8):
+        matrix[o::8] = packed.translate(_TOP_BIT[o])
+    return matrix, 8 * size
+
+
+class _Lanes:
+    """count walks on Z_side side by side, one lane of width bits each:
+    lane i of a coordinate int is its bits [i * width, (i + 1) * width).
+    Lanes are 16 bits up to side = 2^15, else 32 (up to side = 2^31,
+    n = 2^62): a lane then holds every sum below 2 * side, and a sum below
+    side + 2^(width-1) has its top bit set iff it is at least side.  A
+    vertex read widens the even lanes and the odd lanes, by a mask and a
+    shift, into lanes of twice the width, where x * side + y fits, and
+    lists the even lanes' positions first; a run's walks are laid out by
+    ``interleave``, so that reads list them in run order."""
+
+    def __init__(self, side: int, count: int):
+        self.side, self.count = side, count
+        self.width = width = 16 if side <= 1 << 15 else 32
+        self.top = top = width - 1
+        ones = int.from_bytes((1).to_bytes(width // 8, "little") * count,
+                              "little")
+        self.ones = ones
+        self.lane_max = (1 << width) - 1
+        self.half = (1 << top) - 1
+        self.bias = ones * ((1 << top) - side)
+        # a residue mod a power of two is its low bits
+        self.low = ones * (side - 1) if side & side - 1 == 0 else 0
+        pairs = (count + 1) // 2
+        self.evens = int.from_bytes(
+            self.lane_max.to_bytes(width // 4, "little") * pairs, "little")
+        self.odd_shift = 2 * width * pairs
+        self.byte_mask = int.from_bytes(
+            ((1 << 2 * width - 3) - 1).to_bytes(width // 4, "little") * count,
+            "little")
+        self.cast = "I" if width == 16 else "Q"
+        self.carry = int.from_bytes(b"\x7f" * count, "little")
+
+    def interleave(self, items: list) -> list:
+        """The run's items in lane order: lane 2j holds item j and lane
+        2j + 1 item h + j, h = ceil(count / 2)."""
+        out = list(items)
+        h = (self.count + 1) // 2
+        out[0::2], out[1::2] = items[:h], items[h:]
+        return out
+
+    def pack(self, values) -> int:
+        """The lanes holding values, in order."""
+        size = self.width // 8
+        return int.from_bytes(b"".join([v.to_bytes(size, "little")
+                                        for v in values]), "little")
+
+    def step_codes(self, walks: list, lo: int, steps: int):
+        """Every walk's codes of steps 0, 1, ..., steps - 1, one lane int
+        per step whose lanes hold the codes in bits 0-2; the bits above
+        them are not zeroed.  The code of step k is a walk's bits lo + 3k,
+        lo + 3k + 1 and lo + 3k + 2, lowest first.  Walks are packed
+        _CHUNK_STEPS steps at a time, as they are and shifted by 15 bits,
+        so that 8 steps take two 16-bit windows, steps 8q to 8q + 4 from
+        bit 24q and steps 8q + 5 to 8q + 7 from bit 24q + 15."""
+        lane = self.width // 8
+        buf = bytearray(lane * self.count)
+        for first in range(0, steps, _CHUNK_STEPS):
+            size = 3 * -(-min(_CHUNK_STEPS, steps - first) // 8)
+            mask = (1 << 8 * size) - 1
+            at = lo + 3 * first
+            packed = [b"".join([(s >> shift & mask).to_bytes(size, "little")
+                                for s in walks]) for shift in (at, at + 15)]
+            for q in range(0, size, 3):
+                for window, fields in zip(packed, (5, 3)):
+                    buf[0::lane] = window[q::size]
+                    buf[1::lane] = window[q + 1::size]
+                    codes = int.from_bytes(buf, "little")
+                    for f in range(fields):
+                        yield codes >> 3 * f
+
+    def step(self, x: int, y: int, code: int) -> tuple[int, int]:
+        """One step of every walk: lane i of (x, y) moves by
+        LU_NEIGHBOR_RULES[lane i of code].  Each residue mod side is kept
+        by a conditional subtraction: add 2^top - side to every lane, and
+        subtract side where the sum has its top bit set."""
+        ones, lane_max, side, bias, top = (self.ones, self.lane_max,
+                                           self.side, self.bias, self.top)
+        b0, b1, b2 = code & ones, code >> 1 & ones, code >> 2 & ones
+        moves_y = b2 * lane_max
+        swap = (x ^ y) & moves_y
+        u, v = x ^ swap, y ^ swap  # u moves, by a term in v
+        term = v + (v & ((b1 ^ ones) | b2) * lane_max) + b1
+        low = self.low
+        if low:
+            term &= low
+        else:
+            term -= (term + bias >> top & ones) * side
+        # b0: u - term as u + (side - term), side - term being
+        # (half ^ term) - (half - side) for half = 2^top - 1 >= term
+        half = self.half
+        u += (term ^ b0 * half) - b0 * (half - side)
+        if low:
+            u &= low
+        else:
+            u -= (u + bias >> top & ones) * side
+        swap = (u ^ v) & moves_y
+        return u ^ swap, v ^ swap
+
+    def read(self, prepared: bytes, x: int, y: int) -> int:
+        """Lanes of 8 bits, in run order, whose bit 7 is the input bit at
+        each walk's position x * side + y; the bits below it are not
+        zeroed.  One itemgetter reads every position's byte, and the
+        byte's bit is carried into bit 7 by a one-hot mask of its offset
+        and the addition of 0x7f."""
+        width, evens, side = self.width, self.evens, self.side
+        count = self.count
+        pos = ((x & evens) * side + (y & evens)
+               | ((x >> width & evens) * side + (y >> width & evens))
+               << self.odd_shift)
+        size = width // 4 * count
+        order = sys.byteorder  # of the ints the cast reads
+        index = memoryview((pos >> 3 & self.byte_mask).to_bytes(
+            size, order)).cast(self.cast)
+        got = itemgetter(*index)(prepared)
+        data = int.from_bytes(got if count > 1 else (got,), order)
+        offsets = pos.to_bytes(size, "little")[::width // 4]
+        return (data & int.from_bytes(offsets.translate(_ONE_HOT), "little")
+                ) + self.carry
 
 
 class LuExtractor:
@@ -253,11 +390,9 @@ class LuExtractor:
     vertices the walk takes c single steps of 3 seed bits each, by the
     rules of LU_NEIGHBOR_RULES.
 
-    Every rule is an affine map of Z_side^2, so k consecutive steps are one
-    affine map, selected by their 3k seed bits.  The constructor composes
-    the rules into a table of all 8^k such maps, k = min(3, c), and a
-    second table of 8^(c mod k) maps for a shorter last run; a walk segment
-    of c steps then takes ceil(c/k) lookups.
+    ``extract`` walks a run of subseeds at once, one lane per walk
+    (_Lanes), with one lane int of step codes per step and a bit matrix of
+    the ell hash bits.
     """
 
     def __init__(self, n: int, c: int, ell: int):
@@ -270,46 +405,32 @@ class LuExtractor:
         self.ell = ell
         self.idx_width = ceil_log2(self.n_v)
         self.t_req = self.idx_width + 3 * c * (ell - 1) + ell
-        # k = 4 and 5 build 8x and 64x larger tables and walk no faster.
-        k = min(3, c)
-        steps = [_affine(rule, self.side) for rule in LU_NEIGHBOR_RULES]
-        full = _walk_table(steps, k, self.side)
-        rest = (_walk_table(steps, c % k, self.side),) if c % k else ()
-        # The table of each lookup of a segment, in walk order.
-        self._lookups = (full,) * (c // k) + rest
-        self._lookup_bits = 3 * k
 
     def prepare(self, input: BitBuffer) -> bytes:
-        return input.to_bytes()
+        """The input's bytes, zero-padded to side^2 bits."""
+        return input.to_bytes().ljust(-(-self.n_v // 8), b"\0")
 
-    def extract(self, prepared: bytes, subseed: int) -> int:
-        side = self.side
-        seg_bits = 3 * self.c
-        seg_mask = (1 << seg_bits) - 1
-        lookups = self._lookups
-        k_bits = self._lookup_bits
-        k_mask = (1 << k_bits) - 1
-        w = self.idx_width
-        x, y = divmod((subseed & ((1 << w) - 1)) % self.n_v, side)
-        walk = subseed >> w
-        beta = walk >> seg_bits * (self.ell - 1)
-        n_bits = 8 * len(prepared)  # bits past the input's end are zero
-        # Read each vertex bit whatever its hash bit, so the extractor
+    def extract(self, prepared: bytes, subseeds) -> int:
+        side, c, ell, w = self.side, self.c, self.ell, self.idx_width
+        count = len(subseeds)
+        lanes = _Lanes(side, count)
+        step, read = lanes.step, lanes.read
+        walks = lanes.interleave(subseeds)
+        starts = [(s & (1 << w) - 1) % self.n_v for s in walks]
+        x = lanes.pack([v // side for v in starts])
+        y = lanes.pack([v % side for v in starts])
+        betas, beta_row = _bit_matrix(subseeds, w + 3 * c * (ell - 1), ell)
+        codes = lanes.step_codes(walks, w, c * (ell - 1))
+        # Read each vertex bit whatever its hash bit, so that every walk
         # touches exactly ell input bits for any hash string.
-        pos = x * side + y
-        bit = beta & prepared[pos >> 3] >> (pos & 7) if pos < n_bits else 0
-        for _ in range(self.ell - 1):
-            seg = walk & seg_mask
-            walk >>= seg_bits
-            for table in lookups:
-                a, b, e, c, d, f = table[seg & k_mask]
-                x, y = (a * x + b * y + e) % side, (c * x + d * y + f) % side
-                seg >>= k_bits
-            beta >>= 1
-            pos = x * side + y
-            if pos < n_bits:
-                bit ^= beta & prepared[pos >> 3] >> (pos & 7)
-        return bit & 1
+        out = 0
+        for j in range(ell):
+            if j:
+                for _ in range(c):
+                    x, y = step(x, y, next(codes))
+            out ^= read(prepared, x, y) & int.from_bytes(betas[j::beta_row],
+                                                         "little")
+        return int(out.to_bytes(count, "little").translate(_DIGITS)[::-1], 2)
 
 
 def from_params(p: ExtractorParams):

@@ -1,14 +1,18 @@
 """Composition driver: one weak-design subseed per output bit.
 
-Output bit i is extractor.extract(prepared, subseed_i), where prepared is
-extractor.prepare(input) and subseed_i is the seed restricted to S_i, as an
-int.  extract_all parses the input once per call and holds the prepared value
-only for the length of the call; the extractor keeps nothing, so a later call
-sees the input's current contents.  Beside the input it prepares the seed,
-once per call and before any fork: when the design can yield list rows
-(weakdesign.yields_lists, degree c >= 1), it builds the seed's digit view
-(SeedDigits), one ASCII digit per seed bit, d bytes in all, and
-slice_subseed reads each list row from it with one C-level itemgetter.
+Output bit i is the extractor's bit for subseed_i, the seed restricted to
+S_i, as an int.  _extract_range computes the row and the subseed of each
+bit, one compute_Si and one slice_subseed call per bit, and hands the
+extractor runs of at most RUN subseeds: bit k of
+extractor.extract(prepared, subseeds) is the bit of subseeds[k], where
+prepared is extractor.prepare(input).  extract_all parses the input once
+per call and holds the prepared value only for the length of the call; the
+extractor keeps nothing, so a later call sees the input's current contents.
+Beside the input it prepares the seed, once per call and before any fork:
+when the design can yield list rows (weakdesign.yields_lists, degree
+c >= 1), it builds the seed's digit view (SeedDigits), one ASCII digit per
+seed bit, d bytes in all, and slice_subseed reads each list row from it
+with one C-level itemgetter.
 Range rows are read from the seed's packed bytes by strided slices, and a
 degree-0 design builds no view.  Bits are sharded contiguously across
 processes: the caller computes the first shard itself, and each other shard
@@ -182,6 +186,11 @@ class ExtractionJob(Record):
         self.workers = workers
 
 
+# Subseeds per extract call: a constant, so that an extractor's memory per
+# call is bounded whatever the shard.
+RUN = 256
+
+
 def _extract_range(job: ExtractionJob, prepared, lo: int, hi: int) -> int:
     """Bits [lo, hi) of the output, packed LSB-first into an int."""
     design = job.design
@@ -189,12 +198,12 @@ def _extract_range(job: ExtractionJob, prepared, lo: int, hi: int) -> int:
     seed = job.seed
     t_req = extractor.t_req
     out = 0
-    for i in range(lo, hi):
-        indices = design.compute_Si(i)
+    for start in range(lo, hi, RUN):
         # Designs may grant more seed than requested; the extractor
         # consumes the prefix of length t_req.
-        sub = slice_subseed(seed, indices[:t_req])
-        out |= extractor.extract(prepared, sub) << (i - lo)
+        subs = [slice_subseed(seed, design.compute_Si(i)[:t_req])
+                for i in range(start, min(start + RUN, hi))]
+        out |= extractor.extract(prepared, subs) << (start - lo)
     return out
 
 

@@ -56,8 +56,8 @@ def test_patched_modulus_changes_rsh_output_bit(monkeypatch):
                         lambda l: BinaryField(l, second))
     patched = bitext.RshExtractor(len(x), 50)
     assert patched.field.poly == second != first.field.poly
-    assert (patched.extract(patched.prepare(x), sub)
-            != first.extract(first.prepare(x), sub))
+    assert (patched.extract(patched.prepare(x), [sub])
+            != first.extract(first.prepare(x), [sub]))
 
 
 def test_basic_design_exposes_what_the_row_mutant_reads():
@@ -109,16 +109,24 @@ def test_one_gather_per_output_bit(monkeypatch):
     assert len(calls) == job.m
 
 
+def _subseeds(job: ExtractionJob) -> list[int]:
+    """Every output bit's subseed, in output order."""
+    t_req = job.extractor.t_req
+    return [trevisan.slice_subseed(job.seed, job.design.compute_Si(i)[:t_req])
+            for i in range(job.m)]
+
+
 def test_one_lu_extract_per_output_bit(monkeypatch):
     """``--trace 1`` times the one-bit extractor by wrapping each
-    extractor class's ``extract``; the LU walk of every output bit must run
-    in one such call."""
-    calls = []
+    extractor class's ``extract``, which takes a run of subseeds; every
+    output bit's subseed must pass through exactly one such call, in
+    output order."""
+    runs = []
     extract = bitext.LuExtractor.extract
 
-    def counting(self, prepared, subseed):
-        calls.append(subseed)
-        return extract(self, prepared, subseed)
+    def counting(self, prepared, subseeds):
+        runs.append(list(subseeds))
+        return extract(self, prepared, subseeds)
 
     monkeypatch.setattr(bitext.LuExtractor, "extract", counting)
     ext = bitext.LuExtractor(4099, 9, 6)
@@ -128,31 +136,33 @@ def test_one_lu_extract_per_output_bit(monkeypatch):
                         seed=rand_buf(rng, design.d), design=design,
                         extractor=ext, m=40)
     extract_all(job)
-    assert len(calls) == job.m
+    assert [sub for run in runs for sub in run] == _subseeds(job)
 
 
 def test_one_rsh_extract_per_output_bit(monkeypatch, tmp_path):
     """``--trace 1`` times the one-bit extractor by wrapping each
     extractor class's ``extract``, and the input's parsing by wrapping
     ``RshExtractor.prepare``; on an ``rsh-block``-shaped job every output
-    bit's evaluation must run in one ``extract`` call, after one
-    ``prepare`` per run."""
-    calls = {"prepare": 0, "extract": 0}
+    bit's subseed must pass through exactly one ``extract`` call, in
+    output order, after one ``prepare`` per run."""
+    calls = {"prepare": 0}
+    runs = []
     prepare, extract = bitext.RshExtractor.prepare, bitext.RshExtractor.extract
 
     def counting_prepare(self, input):
         calls["prepare"] += 1
         return prepare(self, input)
 
-    def counting_extract(self, prepared, subseed):
-        calls["extract"] += 1
-        return extract(self, prepared, subseed)
+    def counting_extract(self, prepared, subseeds):
+        runs.append(list(subseeds))
+        return extract(self, prepared, subseeds)
 
     monkeypatch.setattr(bitext.RshExtractor, "prepare", counting_prepare)
     monkeypatch.setattr(bitext.RshExtractor, "extract", counting_extract)
     job = _degree_zero_job("rsh-block", tmp_path)
     extract_all(job)
-    assert calls == {"prepare": 1, "extract": job.m}
+    assert calls == {"prepare": 1}
+    assert [sub for run in runs for sub in run] == _subseeds(job)
 
 
 def _degree_zero_job(shape: str, tmp_path) -> ExtractionJob:
@@ -197,4 +207,5 @@ def test_degree_zero_rows_pass_both_hooks(shape, tmp_path):
     assert children.count("trevisan.slice_subseed") == job.m
     figures, _ = layers.job_layers(by_id, job.m)
     assert figures["weakdesign.row_us"] > 0
+    assert figures["bitext.extract_us"] > 0
     assert out == extract_all(job)

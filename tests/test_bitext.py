@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -40,34 +41,34 @@ class TestXor:
         ext = XorExtractor(64, 5)
         zero = ext.prepare(BitBuffer(64))
         for _ in range(20):
-            assert ext.extract(zero, rand_bits(rng, ext.t_req)) == 0
+            assert ext.extract(zero, [rand_bits(rng, ext.t_req)]) == 0
 
     def test_hand_parity(self):
         ext = XorExtractor(8, 2)
         x = ext.prepare(buf_from_bits([1, 0, 1, 1, 0, 0, 0, 0]))
         # positions 0 and 2, each as a 3-bit index
-        assert ext.extract(x, 0 | (2 << 3)) == 0
+        assert ext.extract(x, [0 | (2 << 3)]) == 0
         # positions 0 and 1 -> 1 xor 0 = 1
-        assert ext.extract(x, 0 | (1 << 3)) == 1
+        assert ext.extract(x, [0 | (1 << 3)]) == 1
 
     def test_index_reduced_mod_n(self):
         ext = XorExtractor(5, 1)
         x = ext.prepare(buf_from_bits([1, 0, 0, 0, 0]))
-        assert ext.extract(x, 5) == 1  # 5 mod 5 = 0
+        assert ext.extract(x, [5]) == 1  # 5 mod 5 = 0
 
     def test_linearity(self, rng):
         ext = XorExtractor(128, 4)
         for _ in range(200):
             x1, x2 = rand_buf(rng, 128), rand_buf(rng, 128)
             y = rand_bits(rng, ext.t_req)
-            assert ext.extract(ext.prepare(x1 ^ x2), y) == (
-                ext.extract(ext.prepare(x1), y)
-                ^ ext.extract(ext.prepare(x2), y))
+            assert ext.extract(ext.prepare(x1 ^ x2), [y]) == (
+                ext.extract(ext.prepare(x1), [y])
+                ^ ext.extract(ext.prepare(x2), [y]))
 
     def test_locality(self, rng):
         ext = XorExtractor(256, 7)
         x = CountingBytes(ext.prepare(rand_buf(rng, 256)))
-        ext.extract(x, rand_bits(rng, ext.t_req))
+        ext.extract(x, [rand_bits(rng, ext.t_req)])
         assert x.reads == 7
 
     def test_t_req(self):
@@ -80,13 +81,13 @@ class TestRsh:
         ext = RshExtractor(64, 8)
         zero = ext.prepare(BitBuffer(64))
         for _ in range(20):
-            assert ext.extract(zero, rand_bits(rng, 16)) == 0
+            assert ext.extract(zero, [rand_bits(rng, 16)]) == 0
 
     def test_gf4_hand_computation(self):
         ext = RshExtractor(4, 2)
         assert ext.field == BinaryField(2, 0b111)
         x = ext.prepare(buf_from_bits([1, 0, 1, 1]))  # c1 = 1, c2 = x+1
-        assert ext.extract(x, 1 | (2 << 2)) == 1      # alpha = 1, beta = x
+        assert ext.extract(x, [1 | (2 << 2)]) == 1      # alpha = 1, beta = x
 
     def test_alpha_zero_collapses_to_last_block(self, rng):
         ext = RshExtractor(32, 8)
@@ -96,7 +97,7 @@ class TestRsh:
             sub = 0 | (beta << 8)
             c_last = x.get_bits(24, 8)
             want = (c_last & beta).bit_count() & 1
-            assert ext.extract(ext.prepare(x), sub) == want
+            assert ext.extract(ext.prepare(x), [sub]) == want
 
     def test_horner_vs_power_sum(self, rng):
         for l in (2, 8, 16):
@@ -112,7 +113,7 @@ class TestRsh:
                     c = x.get_bits(i * l, l)
                     acc ^= f.mul(c, field_pow(f, alpha, ext.s - 1 - i))
                 want = (acc & beta).bit_count() & 1
-                assert ext.extract(ext.prepare(x), sub) == want
+                assert ext.extract(ext.prepare(x), [sub]) == want
 
     def test_last_block_zero_padded(self):
         ext = RshExtractor(10, 8)
@@ -128,9 +129,9 @@ class TestRsh:
         for _ in range(200):
             x1, x2 = rand_buf(rng, 100), rand_buf(rng, 100)
             y = rand_bits(rng, 16)
-            assert ext.extract(ext.prepare(x1 ^ x2), y) == (
-                ext.extract(ext.prepare(x1), y)
-                ^ ext.extract(ext.prepare(x2), y))
+            assert ext.extract(ext.prepare(x1 ^ x2), [y]) == (
+                ext.extract(ext.prepare(x1), [y])
+                ^ ext.extract(ext.prepare(x2), [y]))
 
     def test_block_size_guard(self):
         with pytest.raises(ValueError):
@@ -177,7 +178,7 @@ class TestNoHiddenState:
         assert ones(extract_all(job)) > 0
         subs = [rand_bits(rng, ext.t_req) for _ in range(64)]
         job.input._buf[:] = bytes(len(job.input._buf))
-        assert [ext.extract(ext.prepare(job.input), y)
+        assert [ext.extract(ext.prepare(job.input), [y])
                 for y in subs] == [0] * 64
         assert ones(extract_all(job)) == 0
 
@@ -186,17 +187,17 @@ class TestNoHiddenState:
         x = rand_buf(rng, 640)
         ext.prepare(x)
         subs = [rand_bits(rng, ext.t_req) for _ in range(64)]
-        assert any(ext.extract(ext.prepare(x), y) for y in subs)
+        assert any(ext.extract(ext.prepare(x), [y]) for y in subs)
         for i in range(len(x)):
             x.set_bit(i, 0)
-        assert [ext.extract(ext.prepare(x), y) for y in subs] == [0] * 64
+        assert [ext.extract(ext.prepare(x), [y]) for y in subs] == [0] * 64
 
     def test_no_attribute_changes(self, rng, family):
         job = self._job(rng, family)
         ext = job.extractor
         before = dict(vars(ext))
         ext.prepare(job.input)
-        ext.extract(ext.prepare(job.input), rand_bits(rng, ext.t_req))
+        ext.extract(ext.prepare(job.input), [rand_bits(rng, ext.t_req)])
         extract_all(job)
         assert vars(ext) == before
 
@@ -212,7 +213,7 @@ def _mul_horner_bits(field, coeffs, alpha):
 def _read_out(ext, prepared, alpha):
     """The field value p(alpha) behind ``extract``, read bit by bit through
     unit beta vectors."""
-    return sum(ext.extract(prepared, alpha | 1 << ext.l + j) << j
+    return sum(ext.extract(prepared, [alpha | 1 << ext.l + j]) << j
                for j in range(ext.l))
 
 
@@ -253,7 +254,7 @@ def test_table_horner_matches_field_mul(rng, l):
                 subs.append(alpha | rng.randrange(1 << l) << l)
             out = naive_extract(_job_with_subseeds(rng, ext, x, subs))
             assert [out.get_bits(i, 1) for i in range(len(subs))] == [
-                ext.extract(prepared, sub) for sub in subs], (l, n)
+                ext.extract(prepared, [sub]) for sub in subs], (l, n)
 
 
 def test_rsh_block_geometry_matches_horner(rng):
@@ -267,7 +268,8 @@ def test_rsh_block_geometry_matches_horner(rng):
     for i in range(60):
         sub = rand_bits(rng, ext.t_req)
         want = _mul_horner_bits(ext.field, coeffs, sub & (1 << 50) - 1)
-        assert ext.extract(prepared, sub) == (want & sub >> 50).bit_count() & 1
+        assert (ext.extract(prepared, [sub])
+                == (want & sub >> 50).bit_count() & 1)
         if i < 2:
             assert _read_out(ext, prepared, sub & (1 << 50) - 1) == want
 
@@ -348,7 +350,7 @@ class TestLu:
         ext = LuExtractor(81, 2, 4)
         zero = ext.prepare(BitBuffer(81))
         for _ in range(20):
-            assert ext.extract(zero, rand_bits(rng, ext.t_req)) == 0
+            assert ext.extract(zero, [rand_bits(rng, ext.t_req)]) == 0
 
     def test_beta_zero(self, rng):
         ext = LuExtractor(81, 2, 4)
@@ -356,7 +358,7 @@ class TestLu:
         for _ in range(20):
             sub = rand_bits(rng, ext.t_req)
             sub &= ~(((1 << ext.ell) - 1) << beta_off)
-            assert ext.extract(ext.prepare(rand_buf(rng, 81)), sub) == 0
+            assert ext.extract(ext.prepare(rand_buf(rng, 81)), [sub]) == 0
 
     def test_hand_traced_walk(self):
         ext = LuExtractor(9, 1, 2)
@@ -366,15 +368,15 @@ class TestLu:
         x.set_bit(1, 1)  # vertex (0,1)
         # start v=4 -> (1,1); one step with e=0 -> (0,1); beta = (1,1)
         sub = 4 | (0 << 4) | (0b11 << 7)
-        assert ext.extract(ext.prepare(x), sub) == 0  # 1 xor 1
+        assert ext.extract(ext.prepare(x), [sub]) == 0  # 1 xor 1
         x.set_bit(1, 0)
-        assert ext.extract(ext.prepare(x), sub) == 1  # 1 xor 0
+        assert ext.extract(ext.prepare(x), [sub]) == 1  # 1 xor 0
 
     def test_locality(self, rng):
-        for c in (2, 9):  # c = 9 walks by full composed-step lookups
+        for c in (2, 9):  # c = 9 walks 9 steps between reads
             ext = LuExtractor(49, c, 5)
             x = CountingBytes(ext.prepare(rand_buf(rng, 49)))
-            ext.extract(x, rand_bits(rng, ext.t_req))
+            ext.extract(x, [rand_bits(rng, ext.t_req)])
             assert x.reads == 5
 
     def test_linearity(self, rng):
@@ -382,9 +384,9 @@ class TestLu:
         for _ in range(200):
             x1, x2 = rand_buf(rng, 100), rand_buf(rng, 100)
             y = rand_bits(rng, ext.t_req)
-            assert ext.extract(ext.prepare(x1 ^ x2), y) == (
-                ext.extract(ext.prepare(x1), y)
-                ^ ext.extract(ext.prepare(x2), y))
+            assert ext.extract(ext.prepare(x1 ^ x2), [y]) == (
+                ext.extract(ext.prepare(x1), [y])
+                ^ ext.extract(ext.prepare(x2), [y]))
 
     def test_t_req_formula(self):
         ext = LuExtractor(100, 3, 7)
@@ -402,10 +404,9 @@ def _stepped_walk(x, y, walk, steps, side):
 
 
 class TestLuComposedWalk:
-    """The walk by composed-step table lookups ends where single steps by
-    LU_NEIGHBOR_RULES end, for every c mod 3 and for c < 3, on sides that
-    are powers of two (n = 1,000) and sides that are not, one of them a
-    perfect square (n = 2,401)."""
+    """The lane walk ends where single steps by LU_NEIGHBOR_RULES end,
+    for c from 1 to 10, on sides that are powers of two (n = 1,000) and
+    sides that are not, one of them a perfect square (n = 2,401)."""
 
     @pytest.mark.parametrize("c", range(1, 11))
     @settings(max_examples=25, deadline=None)
@@ -429,8 +430,76 @@ class TestLuComposedWalk:
         if end < n:
             only_end.set_bit(end, 1)
             all_but_end.set_bit(end, 0)
-        assert ext.extract(ext.prepare(only_end), sub) == (end < n)
-        assert ext.extract(ext.prepare(all_but_end), sub) == 0
+        assert ext.extract(ext.prepare(only_end), [sub]) == (end < n)
+        assert ext.extract(ext.prepare(all_but_end), [sub]) == 0
+
+
+def _lanes_of(value: int, width: int, count: int) -> list[int]:
+    return [value >> width * i & (1 << width) - 1 for i in range(count)]
+
+
+class TestLuLanes:
+    """The lane walk on its own: one step of many walks at once, the
+    lane width, the step codes and the memory of one run."""
+
+    @pytest.mark.parametrize("side", [2, 3, 1001, 1024, 1449, 1 << 15,
+                                      (1 << 15) + 1])
+    def test_step_matches_rules_for_every_code(self, side, rng):
+        """Lane i moves as LU_NEIGHBOR_RULES[code] moves its vertex, for
+        every code, at the corners and at random vertices, with the code
+        lanes' bits above bit 2 set at random.  Powers of two reduce by a
+        mask, other sides by a conditional subtraction; side = 2^15 is the
+        widest of 16-bit lanes and 2^15 + 1 takes 32-bit ones."""
+        top = side - 1
+        points = [(0, 0), (0, top), (top, 0), (top, top)] + [
+            (rng.randrange(side), rng.randrange(side)) for _ in range(12)]
+        walks = [(code, x, y) for code in range(8) for x, y in points]
+        lanes = bitext._Lanes(side, len(walks))
+        width = lanes.width
+        assert width == (16 if side <= 1 << 15 else 32)
+        junk = [rng.randrange(1 << width - 3) << 3 for _ in walks]
+        x, y = lanes.step(lanes.pack([x for _, x, _ in walks]),
+                          lanes.pack([y for _, _, y in walks]),
+                          lanes.pack([code | j for (code, _, _), j
+                                      in zip(walks, junk)]))
+        got = list(zip(_lanes_of(x, width, len(walks)),
+                       _lanes_of(y, width, len(walks))))
+        assert got == [LU_NEIGHBOR_RULES[code](x, y, side)
+                       for code, x, y in walks]
+
+    def test_lane_width_from_side(self):
+        widths = [bitext._Lanes(s, 3).width
+                  for s in (1, 2, 1 << 15, (1 << 15) + 1, 1 << 31)]
+        assert widths == [16, 16, 16, 32, 32]
+
+    def test_step_codes_across_a_chunk(self, rng):
+        """Step k of walk i, bits lo + 3k to lo + 3k + 2 of its subseed,
+        over more steps than one packed chunk holds."""
+        steps = bitext._CHUNK_STEPS + 13
+        walks = [rng.getrandbits(3 * steps + 40) for _ in range(5)]
+        lanes = bitext._Lanes(1024, len(walks))
+        codes = list(islice(lanes.step_codes(walks, 11, steps), steps))
+        assert len(codes) == steps
+        for k, code in enumerate(codes):
+            assert [v & 7 for v in _lanes_of(code, 16, len(walks))] == [
+                s >> 11 + 3 * k & 7 for s in walks], k
+
+    def test_run_at_the_lu_cached_geometry_under_768_kib(self, rng):
+        """One ``extract`` of 256 walks at n = 2^20 (c = 9, ell = 168)
+        allocates under 768 KiB at its peak: less than a digit view of the
+        input (1 MiB), and near the 192 KiB of packed step codes of
+        bitext._CHUNK_STEPS steps."""
+        ext = LuExtractor(1 << 20, 9, 168)
+        prepared = ext.prepare(rand_buf(rng, ext.n))
+        subs = [rand_bits(rng, ext.t_req) for _ in range(256)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ext.extract(prepared, subs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 768 << 10, peak
 
 
 class TestInterface:
@@ -457,5 +526,5 @@ class TestInterface:
                     LuExtractor(128, 2, 4)):
             x = rand_buf(rng, 128)
             y = rand_bits(rng, ext.t_req)
-            assert (ext.extract(ext.prepare(x), y)
-                    == ext.extract(ext.prepare(x), y))
+            assert (ext.extract(ext.prepare(x), [y])
+                    == ext.extract(ext.prepare(x), [y]))

@@ -267,7 +267,7 @@ class TestExtractAll:
                             extractor=ext, m=1)
         row = design.compute_Si(0)
         want = ext.extract(ext.prepare(x),
-                           slice_subseed(seed, row[:ext.t_req]))
+                           [slice_subseed(seed, row[:ext.t_req])])
         assert extract_all(job).get_bits(0, 1) == want
 
     def test_worker_count_invariance(self, rng):
@@ -467,7 +467,7 @@ class TestExtractAll:
         for i in range(8):
             row = design.compute_Si(i)
             sub = slice_subseed(seed, row[:ext.t_req])
-            assert out.get_bits(i, 1) == ext.extract(ext.prepare(x), sub)
+            assert out.get_bits(i, 1) == ext.extract(ext.prepare(x), [sub])
 
     def test_unused_seed_bit_is_ignored(self, rng):
         ext = XorExtractor(64, 3)
@@ -514,8 +514,8 @@ class TestExtractAll:
         (1000, 9, 6, DesignVariant.BLOCK_GF2X),
     ])
     def test_long_lu_walk_matches_naive_oracle(self, rng, n, c, ell, variant):
-        """The oracle test above draws c <= 3; c = 7 and 9 walk by full
-        composed-step lookups and, for c = 7, one shorter last lookup."""
+        """The oracle test above draws c <= 3; c = 7 and 9 take longer
+        walks between reads."""
         ext = LuExtractor(n, c, ell)
         design = make_design(variant, ext.t_req, 24)
         job = ExtractionJob(input=rand_buf(rng, n),
@@ -538,6 +538,47 @@ class TestExtractAll:
             if abs(2 * ones(out) - len(out)) / len(out) ** 0.5 >= 5.0:
                 bad += 1
         assert bad == 0
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 255, 256, 257])
+def test_lu_runs_match_naive_oracle(c, m):
+    """``extract`` takes runs of up to RUN = 256 walks: runs of 1 bit,
+    around a byte and around RUN match the oracle at 1, 2 and 3 workers.
+    m = 257 has shards from bits 129, and 86 and 172, off multiples of 8.
+    n = 4,099 is not a square (side 65), so walks reach positions >= n,
+    which read 0 also from an input of all ones."""
+    assert trevisan.RUN == 256
+    n = 4099
+    ext = LuExtractor(n, c, 3)
+    design = make_design(DesignVariant.GFP, ext.t_req, m)
+    rng = random.Random(100 * c + m)
+    for x in (rand_buf(rng, n), BitBuffer(n, (1 << n) - 1)):
+        job = ExtractionJob(input=x, seed=rand_buf(rng, design.d),
+                            design=design, extractor=ext, m=m)
+        want = naive_extract(job)
+        for workers in (1, 2, 3):
+            job.workers = workers
+            assert extract_all(job) == want, (workers, x == job.input)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_block_boundaries_inside_runs_match_naive_oracle(family):
+    """A block-gfp design of m = 300 rows has block boundaries off
+    multiples of 8 inside the runs of every shard at 1, 2 and 3 workers."""
+    rng = random.Random(family)
+    ext = {"xor": XorExtractor(1000, 3), "rsh": RshExtractor(1000, 9),
+           "lu": LuExtractor(1000, 4, 3)}[family]
+    design = make_design(DesignVariant.BLOCK_GFP, max(ext.t_req, 7), 300)
+    assert any(start % 8 and start not in (100, 150, 200, 256)
+               for start in design._starts[1:])
+    job = ExtractionJob(input=rand_buf(rng, 1000),
+                        seed=rand_buf(rng, design.d), design=design,
+                        extractor=ext, m=300)
+    want = naive_extract(job)
+    for workers in (1, 2, 3):
+        job.workers = workers
+        assert extract_all(job) == want
 
 
 def _list_row_design(kind: str, tmp_path):
