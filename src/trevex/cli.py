@@ -159,6 +159,8 @@ def run_extract(args) -> int:
     design = _design_for(args, p.m, extractor.t_req, t_act)
     input_buf = _read_bits(args.input, p.n, "input")
     seed_buf = _read_bits(args.seed, design.d, "seed")
+    if args.save_design:  # a design no cache holds fails before extraction
+        weakdesign.design_save(design, args.save_design)
     job = ExtractionJob(input=input_buf, seed=seed_buf, design=design,
                         extractor=extractor, m=p.m, workers=args.threads)
     start = time.perf_counter()
@@ -166,8 +168,6 @@ def run_extract(args) -> int:
     elapsed = time.perf_counter() - start
     with open(args.output, "wb") as fh:
         fh.write(out.to_bytes())
-    if args.save_design:
-        weakdesign.design_save(design, args.save_design)
     print(f"bits_in={p.n}")
     print(f"bits_out={p.m}")
     print(f"d={design.d}")

@@ -12,16 +12,17 @@ Beside the input it prepares the seed, once per call and before any fork:
 when the design can yield list rows (weakdesign.yields_lists, degree
 c >= 1), it builds the seed's digit view (SeedDigits), one ASCII digit per
 seed bit, d bytes in all, and slice_subseed reads each list row from it
-with one C-level itemgetter.
-Range rows are read from the seed's packed bytes by strided slices, and a
-degree-0 design builds no view.  Bits are sharded contiguously across
-processes: the caller computes the first shard itself, and each other shard
-is computed by a child forked from the caller, which inherits the job, the
-prepared input and the digit view (nothing is pickled on the way in) and
-writes its packed bits back through a pipe.  Each process first moves itself
-onto a CPU of its own, without staying pinned there.  Shards land in
-disjoint bit ranges, so the output is byte-identical for any worker count;
-no job state lives at module level.
+with one C-level itemgetter.  Range rows are read from the seed's packed
+bytes by strided slices, and a degree-0 design, whose rows are all ranges,
+builds no view.  slice_subseed has these two paths and no third: a list
+row over a packed BitBuffer raises TypeError.  Bits are sharded
+contiguously across processes: the caller computes the first shard itself,
+and each other shard is computed by a child forked from the caller, which
+inherits the job, the prepared input and the digit view (nothing is
+pickled on the way in) and writes its packed bits back through a pipe.
+Each process first moves itself onto a CPU of its own, without staying
+pinned there.  Shards land in disjoint bit ranges, so the output is
+byte-identical for any worker count; no job state lives at module level.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class InsufficientSeedError(Exception):
 
 class BitBuffer:
     """Packed bit string.  Global bit g lives at byte g//8, bit position
-    g%8, least-significant-bit first; multi-bit reads assemble LSB-first.
-    Byte-backed so single-bit access is O(1) even for multi-megabit data.
-    Mutable, and therefore unhashable."""
+    g%8, least-significant-bit first, as to_bytes() returns them; value,
+    in the constructor, is read LSB-first.  Its bytes are filled whole, by
+    from_bytes or readinto, and read by slice_subseed and the extractors'
+    prepare.  Mutable, and therefore unhashable."""
 
     __slots__ = ("len_bits", "_buf")
 
@@ -57,10 +59,13 @@ class BitBuffer:
 
     @classmethod
     def from_bytes(cls, data: bytes, len_bits: int | None = None) -> "BitBuffer":
+        """The first len_bits bits of data (all of it by default); data
+        shorter than len_bits raises ValueError."""
         if len_bits is None:
             len_bits = 8 * len(data)
         out = cls(len_bits)
-        out.readinto(io.BytesIO(data))
+        if out.readinto(io.BytesIO(data)) < len(out._buf):
+            raise ValueError(f"{len(data)} bytes hold fewer than {len_bits} bits")
         return out
 
     def readinto(self, fh) -> int:
@@ -81,29 +86,6 @@ class BitBuffer:
         return (isinstance(other, BitBuffer)
                 and self.len_bits == other.len_bits
                 and self._buf == other._buf)
-
-    def __xor__(self, other: "BitBuffer") -> "BitBuffer":
-        if len(other) != self.len_bits:
-            raise ValueError("length mismatch")
-        return BitBuffer(self.len_bits, int.from_bytes(self._buf, "little")
-                         ^ int.from_bytes(other._buf, "little"))
-
-    def set_bit(self, i: int, bit: int) -> None:
-        if not 0 <= i < self.len_bits:
-            raise IndexError(f"bit {i} outside [0, {self.len_bits})")
-        if bit:
-            self._buf[i >> 3] |= 1 << (i & 7)
-        else:
-            self._buf[i >> 3] &= ~(1 << (i & 7)) & 0xFF
-
-    def get_bits(self, start: int, width: int) -> int:
-        """Unsigned value of bits [start, start+width), LSB-first.
-        Positions at or past the end read as zero."""
-        if start < 0 or width < 0:
-            raise IndexError("negative slice")
-        chunk = int.from_bytes(self._buf[start >> 3:(start + width + 7) >> 3],
-                               "little")
-        return (chunk >> (start & 7)) & ((1 << width) - 1)
 
 
 # _ASCII_BIT[o] maps a byte to the ASCII digit ("0" or "1") of its bit o:
@@ -140,28 +122,29 @@ def slice_subseed(seed: BitBuffer | SeedDigits, indices) -> int:
 
     The bits are read straight from the seed and packed by int() from a
     string of binary digits, last position first.  A range with a positive
-    step is read by strided byte slices: its positions j, j+8, j+16, ...
-    share one bit offset and lie step bytes apart.  Other positions are
-    gathered by one itemgetter from a SeedDigits' digit view, whose own
-    IndexError bounds them above, or bit by bit from a BitBuffer."""
+    step is read by strided byte slices, from either form of the seed: its
+    positions j, j+8, j+16, ... share one bit offset and lie step bytes
+    apart.  Any other row is gathered by one itemgetter from a SeedDigits'
+    digit view, whose own IndexError bounds it above; on a BitBuffer it
+    raises TypeError."""
+    strided = isinstance(indices, range) and indices.step > 0
+    if not strided and not isinstance(seed, SeedDigits):
+        raise TypeError("a row other than a range of positive step is read "
+                        "from the seed's SeedDigits view, not a BitBuffer")
     if not indices:
         return 0
-    strided = isinstance(indices, range) and indices.step > 0
     if (indices[0] if strided else min(indices)) < 0:
         raise _outside(seed)
-    if isinstance(seed, SeedDigits) and not strided:
+    if not strided:
         try:
             digits = itemgetter(*indices)(seed.digits)
         except IndexError:
             raise _outside(seed) from None
         # itemgetter of one position gives its digit, not a tuple
         return int(bytes(digits)[::-1], 2) if len(indices) > 1 else digits - 48
-    if (indices[-1] if strided else max(indices)) >= seed.len_bits:
+    if indices[-1] >= seed.len_bits:
         raise _outside(seed)
     buf = seed._buf
-    if not strided:
-        bits = bytes([buf[i >> 3] >> (i & 7) & 1 for i in indices])
-        return int(bits[::-1].translate(_ASCII_BIT[0]), 2)
     n, step = len(indices), indices.step
     digits = bytearray(n)
     for j, pos in enumerate(indices[:8]):

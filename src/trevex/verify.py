@@ -277,8 +277,8 @@ def naive_extract(job: ExtractionJob) -> BitBuffer:
     seed_bits = _bits_of(job.seed)
     rows = _naive_design_rows(job.design, job.m)
     t_req = job.extractor.t_req
-    out = BitBuffer(job.m)
+    value = 0
     for i in range(job.m):
         sub_bits = [seed_bits[idx] for idx in rows[i][:t_req]]
-        out.set_bit(i, _naive_one_bit(job.extractor, input_bits, sub_bits))
-    return out
+        value |= _naive_one_bit(job.extractor, input_bits, sub_bits) << i
+    return BitBuffer(job.m, value)

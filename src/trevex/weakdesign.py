@@ -301,11 +301,8 @@ def design_save(design, path) -> None:
     that stops early leaves a file too short for ``design_load``."""
     header = _header(design)
     t = design.t_act
-    if design.variant.is_block:  # memoised rows as kept, the rest computed
-        memo, basic = design._row_cache, design._basic
-        rows = (memo.get(k) or basic.compute_Si(k) for k in range(t, basic.m))
-    else:
-        rows = map(design.compute_Si, range(t, design.m))
+    basic = design._basic if design.variant.is_block else design
+    rows = map(basic.compute_Si, range(t, basic.m))
     crc = zlib.crc32(header)
     with open(path, "wb") as fh:
         fh.write(header)

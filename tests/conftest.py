@@ -18,9 +18,33 @@ def rand_buf(rng: random.Random, bits: int) -> BitBuffer:
     return BitBuffer(bits, rand_bits(rng, bits))
 
 
+def value(buf: BitBuffer) -> int:
+    """The buffer's bits as an int, LSB-first, read from its bytes."""
+    return int.from_bytes(buf.to_bytes(), "little")
+
+
+def bit(buf: BitBuffer, i: int) -> int:
+    """Bit i of the buffer: the per-bit reference, read from its bytes."""
+    return buf.to_bytes()[i >> 3] >> (i & 7) & 1
+
+
+def xor(a: BitBuffer, b: BitBuffer) -> BitBuffer:
+    assert len(a) == len(b)
+    return BitBuffer(len(a), value(a) ^ value(b))
+
+
+def flip(buf: BitBuffer, i: int) -> None:
+    """Flip bit i of the buffer in place."""
+    buf._buf[i >> 3] ^= 1 << (i & 7)
+
+
+def buf_from_bits(bits) -> BitBuffer:
+    return BitBuffer(len(bits), sum(b << i for i, b in enumerate(bits)))
+
+
 def ones(buf: BitBuffer) -> int:
     """Number of set bits in the buffer."""
-    return int.from_bytes(buf.to_bytes(), "little").bit_count()
+    return value(buf).bit_count()
 
 
 def field_pow(field, a: int, e: int) -> int:

@@ -28,7 +28,7 @@ from trevex.verify import TWO_E_DEN, TWO_E_NUM, naive_extract, overlap_check
 from trevex.weakdesign import (BasicDesign, BlockDesign, DesignVariant,
                                block_partition, design_d, make_design)
 
-from conftest import FAMILIES, field_pow, rand_buf, rand_job
+from conftest import FAMILIES, field_pow, rand_buf, rand_job, xor
 
 MERSENNE_61 = (1 << 61) - 1
 
@@ -228,8 +228,8 @@ def test_criterion_08_pipeline_linearity():
             other = rand_buf(rng, len(base_in))
             job.input = other
             out_other = extract_all(job)
-            job.input = base_in ^ other
-            assert extract_all(job) == base_out ^ out_other
+            job.input = xor(base_in, other)
+            assert extract_all(job) == xor(base_out, out_other)
             job.input = base_in
 
 

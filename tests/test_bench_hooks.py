@@ -69,12 +69,17 @@ def test_basic_design_exposes_what_the_row_mutant_reads():
 
 
 def _xor_gfp_job() -> ExtractionJob:
+    """A small job of the ``xor-gfp`` shape: a computed gfp design of
+    degree 1, whose rows from t on are lists, read through the seed's
+    digit view."""
     ext = bitext.XorExtractor(1000, 5)
-    design = weakdesign.make_design(weakdesign.DesignVariant.GFP, ext.t_req, 40)
+    design = weakdesign.make_design(weakdesign.DesignVariant.GFP, ext.t_req, 64)
+    assert (design.t_act, design.c) == (53, 1)
+    assert isinstance(design.compute_Si(63), list)
     rng = random.Random(1531)
     return ExtractionJob(input=rand_buf(rng, 1000),
                          seed=rand_buf(rng, design.d), design=design,
-                         extractor=ext, m=40)
+                         extractor=ext, m=64)
 
 
 def test_selftest_transposed_rows_reach_xor_gfp_output(monkeypatch):

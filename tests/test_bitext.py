@@ -15,15 +15,8 @@ from trevex.trevisan import BitBuffer, ExtractionJob, extract_all
 from trevex.verify import naive_extract
 from trevex.weakdesign import DesignVariant, make_design
 
-from conftest import (FAMILIES, field_pow, ones, rand_bits, rand_buf,
-                      rand_extractor)
-
-
-def buf_from_bits(bits):
-    out = BitBuffer(len(bits))
-    for i, b in enumerate(bits):
-        out.set_bit(i, b)
-    return out
+from conftest import (FAMILIES, bit, buf_from_bits, field_pow, flip, ones,
+                      rand_bits, rand_buf, rand_extractor, value, xor)
 
 
 class CountingBytes(bytes):
@@ -61,7 +54,7 @@ class TestXor:
         for _ in range(200):
             x1, x2 = rand_buf(rng, 128), rand_buf(rng, 128)
             y = rand_bits(rng, ext.t_req)
-            assert ext.extract(ext.prepare(x1 ^ x2), [y]) == (
+            assert ext.extract(ext.prepare(xor(x1, x2)), [y]) == (
                 ext.extract(ext.prepare(x1), [y])
                 ^ ext.extract(ext.prepare(x2), [y]))
 
@@ -95,7 +88,7 @@ class TestRsh:
             x = rand_buf(rng, 32)
             beta = rng.randrange(256)
             sub = 0 | (beta << 8)
-            c_last = x.get_bits(24, 8)
+            c_last = value(x) >> 24
             want = (c_last & beta).bit_count() & 1
             assert ext.extract(ext.prepare(x), [sub]) == want
 
@@ -110,7 +103,7 @@ class TestRsh:
                 beta = sub >> l
                 acc = 0
                 for i in range(ext.s):
-                    c = x.get_bits(i * l, l)
+                    c = value(x) >> i * l & (1 << l) - 1
                     acc ^= f.mul(c, field_pow(f, alpha, ext.s - 1 - i))
                 want = (acc & beta).bit_count() & 1
                 assert ext.extract(ext.prepare(x), [sub]) == want
@@ -129,7 +122,7 @@ class TestRsh:
         for _ in range(200):
             x1, x2 = rand_buf(rng, 100), rand_buf(rng, 100)
             y = rand_bits(rng, 16)
-            assert ext.extract(ext.prepare(x1 ^ x2), [y]) == (
+            assert ext.extract(ext.prepare(xor(x1, x2)), [y]) == (
                 ext.extract(ext.prepare(x1), [y])
                 ^ ext.extract(ext.prepare(x2), [y]))
 
@@ -164,12 +157,13 @@ class TestNoHiddenState:
         if family == "rsh":
             assert isinstance(prepared, tuple)
             assert all(isinstance(column, tuple) for column in prepared)
-            assert ext.coefficients(x) == tuple(x.get_bits(i * ext.l, ext.l)
+            l = ext.l
+            assert ext.coefficients(x) == tuple(value(x) >> i * l & (1 << l) - 1
                                                 for i in range(ext.s))
         else:
             assert isinstance(prepared, bytes)
             assert prepared == x.to_bytes()
-        x.set_bit(0, 1 - x.get_bits(0, 1))
+        flip(x, 0)
         assert ext.prepare(x) != prepared
 
     def test_input_zeroed_in_place_after_extract_all(self, rng, family):
@@ -188,8 +182,7 @@ class TestNoHiddenState:
         ext.prepare(x)
         subs = [rand_bits(rng, ext.t_req) for _ in range(64)]
         assert any(ext.extract(ext.prepare(x), [y]) for y in subs)
-        for i in range(len(x)):
-            x.set_bit(i, 0)
+        x._buf[:] = bytes(len(x._buf))
         assert [ext.extract(ext.prepare(x), [y]) for y in subs] == [0] * 64
 
     def test_no_attribute_changes(self, rng, family):
@@ -224,10 +217,11 @@ def _job_with_subseeds(rng, ext, x, subs) -> ExtractionJob:
     design = make_design(DesignVariant.GFP, max(ext.t_req, m), m)
     rows = [design.compute_Si(i)[:ext.t_req] for i in range(m)]
     assert len({pos for row in rows for pos in row}) == m * ext.t_req
-    seed = rand_buf(rng, design.d)
+    seed = value(rand_buf(rng, design.d))
     for row, sub in zip(rows, subs):
         for j, pos in enumerate(row):
-            seed.set_bit(pos, sub >> j & 1)
+            seed = seed & ~(1 << pos) | (sub >> j & 1) << pos
+    seed = BitBuffer(design.d, seed)
     return ExtractionJob(input=x, seed=seed, design=design, extractor=ext, m=m)
 
 
@@ -253,7 +247,7 @@ def test_table_horner_matches_field_mul(rng, l):
                 assert _read_out(ext, prepared, alpha) == want, (l, n, alpha)
                 subs.append(alpha | rng.randrange(1 << l) << l)
             out = naive_extract(_job_with_subseeds(rng, ext, x, subs))
-            assert [out.get_bits(i, 1) for i in range(len(subs))] == [
+            assert [bit(out, i) for i in range(len(subs))] == [
                 ext.extract(prepared, [sub]) for sub in subs], (l, n)
 
 
@@ -363,13 +357,11 @@ class TestLu:
     def test_hand_traced_walk(self):
         ext = LuExtractor(9, 1, 2)
         assert ext.side == 3 and ext.idx_width == 4 and ext.t_req == 9
-        x = BitBuffer(9)
-        x.set_bit(4, 1)  # vertex (1,1)
-        x.set_bit(1, 1)  # vertex (0,1)
+        x = BitBuffer(9, 1 << 4 | 1 << 1)  # vertices (1,1) and (0,1)
         # start v=4 -> (1,1); one step with e=0 -> (0,1); beta = (1,1)
         sub = 4 | (0 << 4) | (0b11 << 7)
         assert ext.extract(ext.prepare(x), [sub]) == 0  # 1 xor 1
-        x.set_bit(1, 0)
+        flip(x, 1)
         assert ext.extract(ext.prepare(x), [sub]) == 1  # 1 xor 0
 
     def test_locality(self, rng):
@@ -384,7 +376,7 @@ class TestLu:
         for _ in range(200):
             x1, x2 = rand_buf(rng, 100), rand_buf(rng, 100)
             y = rand_bits(rng, ext.t_req)
-            assert ext.extract(ext.prepare(x1 ^ x2), [y]) == (
+            assert ext.extract(ext.prepare(xor(x1, x2)), [y]) == (
                 ext.extract(ext.prepare(x1), [y])
                 ^ ext.extract(ext.prepare(x2), [y]))
 
@@ -425,11 +417,8 @@ class TestLuComposedWalk:
         # is the input bit at the walk's end.
         sub = ((x * side + y) | walk << ext.idx_width
                | 1 << ext.idx_width + 3 * steps + ell - 1)
-        only_end = BitBuffer(n)
-        all_but_end = BitBuffer(n, (1 << n) - 1)
-        if end < n:
-            only_end.set_bit(end, 1)
-            all_but_end.set_bit(end, 0)
+        only_end = BitBuffer(n, 1 << end)  # zero when end >= n
+        all_but_end = BitBuffer(n, (1 << n) - 1 & ~(1 << end))
         assert ext.extract(ext.prepare(only_end), [sub]) == (end < n)
         assert ext.extract(ext.prepare(all_but_end), [sub]) == 0
 

@@ -17,62 +17,62 @@ from trevex.verify import naive_extract
 from trevex.weakdesign import (DesignVariant, design_load, design_save,
                                make_design)
 
-from conftest import FAMILIES, ones, rand_buf, rand_job
+from conftest import (FAMILIES, bit, buf_from_bits, flip, ones, rand_buf,
+                      rand_job, value, xor)
+
+
+def _reference(seed: BitBuffer, indices) -> int:
+    """The subseed at the given positions, read bit by bit from the
+    seed's bytes."""
+    return sum(bit(seed, i) << j for j, i in enumerate(indices))
 
 
 class TestBitBuffer:
     def test_bit_order_convention(self):
         b = BitBuffer.from_bytes(bytes([0b00000001, 0b10000000]))
-        assert b.get_bits(0, 1) == 1
-        assert b.get_bits(15, 1) == 1
-        assert sum(b.get_bits(i, 1) for i in range(16)) == 2
+        assert bit(b, 0) == 1
+        assert bit(b, 15) == 1
+        assert sum(bit(b, i) for i in range(16)) == 2
 
     def test_multibit_reads_lsb_first(self):
         b = BitBuffer.from_bytes(bytes([0xAB, 0xCD]))
-        assert b.get_bits(0, 8) == 0xAB
-        assert b.get_bits(8, 8) == 0xCD
-        assert b.get_bits(4, 8) == 0xDA
+        assert b == BitBuffer(16, 0xCDAB)
+        assert slice_subseed(b, range(4, 12)) == 0xDA
 
     def test_read_past_end_zero_padded(self):
-        b = BitBuffer(4, 0b1111)
-        assert b.get_bits(2, 8) == 0b11
-        assert b.get_bits(100, 8) == 0
+        # the value's bits from the length on are dropped, and the last
+        # byte's padding reads as zero
+        b = BitBuffer(4, 0b1111_1111)
+        assert b.to_bytes() == bytes([0b1111])
+        assert value(b) == 0b1111
 
     def test_tail_bits_masked(self):
         b = BitBuffer.from_bytes(bytes([0xFF]), 5)
         assert b.to_bytes() == bytes([0b00011111])
         assert ones(b) == 5
-
-    def test_set_and_get(self):
-        b = BitBuffer(20)
-        b.set_bit(13, 1)
-        assert b.get_bits(13, 1) == 1
-        assert ones(b) == 1
-        b.set_bit(13, 0)
-        assert ones(b) == 0
+        # longer data is accepted, and only its first 5 bits are read
+        assert BitBuffer.from_bytes(bytes([0xFF, 0xFF]), 5) == b
 
     def test_unhashable(self):
-        # A hash taken before set_bit would go stale, losing the buffer in
-        # any set or dict that holds it.
+        # A hash taken before the buffer is filled in place would go stale,
+        # losing the buffer in any set or dict that holds it.
         with pytest.raises(TypeError):
             hash(BitBuffer(8))
 
-    def test_xor_and_eq(self):
+    def test_eq(self):
         a = BitBuffer(12, 0b101010101010)
-        z = BitBuffer(12)
-        assert (a ^ a) == z
-        assert (a ^ z) == a
-        with pytest.raises(ValueError):
-            a ^ BitBuffer(11)
+        assert a == BitBuffer.from_bytes(a.to_bytes(), 12)
+        assert a != BitBuffer(12)
+        assert a != BitBuffer(13, 0b101010101010)  # same bytes, longer
+        assert a != a.to_bytes()
 
-    def test_index_errors(self):
-        b = BitBuffer(8)
-        with pytest.raises(IndexError):
-            b.set_bit(8, 1)
-        with pytest.raises(IndexError):
-            b.set_bit(-1, 1)
+    def test_length_errors(self):
         with pytest.raises(ValueError):
             BitBuffer(-1)
+        # data too short for the length is refused, not zero-filled
+        for data, bits in ((b"\xff", 64), (b"", 1), (bytes(435), 3481)):
+            with pytest.raises(ValueError, match="fewer than"):
+                BitBuffer.from_bytes(data, bits)
 
     @settings(max_examples=100, deadline=None)
     @given(st.binary(min_size=0, max_size=64))
@@ -81,16 +81,18 @@ class TestBitBuffer:
 
 
 class TestSliceSubseed:
+    """slice_subseed on ranges of positive step, from the packed seed, and
+    on any other row, from its SeedDigits view, against the per-bit
+    reference read from to_bytes()."""
+
     def test_identity_prefix(self, rng):
         seed = rand_buf(rng, 64)
         sub = slice_subseed(seed, range(16))
-        assert all(sub >> i & 1 == seed.get_bits(i, 1) for i in range(16))
+        assert all(sub >> i & 1 == bit(seed, i) for i in range(16))
 
     def test_hand_selection(self):
-        seed = BitBuffer(5)
-        for i, bit in enumerate([1, 0, 1, 1, 0]):
-            seed.set_bit(i, bit)
-        sub = slice_subseed(seed, [4, 0, 2])
+        seed = buf_from_bits([1, 0, 1, 1, 0])
+        sub = slice_subseed(trevisan.SeedDigits(seed), [4, 0, 2])
         assert [sub >> i & 1 for i in range(3)] == [0, 1, 1]
 
     def test_length(self):
@@ -100,26 +102,38 @@ class TestSliceSubseed:
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            slice_subseed(BitBuffer(4), [5])
+            slice_subseed(BitBuffer(4), range(5, 6))
+        with pytest.raises(IndexError):
+            slice_subseed(trevisan.SeedDigits(BitBuffer(4)), [5])
 
     def test_matches_per_bit_reference(self, rng):
         seed = rand_buf(rng, 1003)
+        view = trevisan.SeedDigits(seed)
         unsorted = [rng.randrange(1003) for _ in range(300)]
         duplicates = [7, 7, 1002, 0, 7, 1002, 0]
         for indices in (unsorted, duplicates):
-            want = sum(seed.get_bits(i, 1) << j for j, i in enumerate(indices))
-            assert slice_subseed(seed, indices) == want
+            assert slice_subseed(view, indices) == _reference(seed, indices)
+        for indices in (range(1003), range(5, 1003, 19), range(1002, -1, -7)):
+            want = _reference(seed, indices)
+            assert slice_subseed(view, indices) == want
+            if indices.step > 0:
+                assert slice_subseed(seed, indices) == want
 
     def test_no_indices(self):
-        assert slice_subseed(BitBuffer(8, 0xFF), []) == 0
+        seed = BitBuffer(8, 0xFF)
+        assert slice_subseed(seed, range(0)) == 0
+        assert slice_subseed(trevisan.SeedDigits(seed), []) == 0
 
     @pytest.mark.parametrize("indices", [[-1], [0, 3, 5], [0, 8], [1 << 20]],
                              ids=["negative", "padding", "past-buffer",
                                   "far-past-buffer"])
     def test_position_outside_seed(self, indices):
         # bit 5 of a 4-bit seed lies in the padding of its one byte
+        seed = BitBuffer(4, 0b1111)
         with pytest.raises(IndexError):
-            slice_subseed(BitBuffer(4, 0b1111), indices)
+            slice_subseed(trevisan.SeedDigits(seed), indices)
+        with pytest.raises(IndexError):
+            slice_subseed(seed, range(indices[-1], indices[-1] + 1))
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.sampled_from([8, 16, 24, 32, 40]), st.integers(1, 40)),
@@ -130,9 +144,13 @@ class TestSliceSubseed:
         r = range(start, start + step * length, step)
         bits = (r[-1] if r else start) + 1 + slack
         seed = BitBuffer(bits, rnd.getrandbits(bits))
-        assert slice_subseed(seed, r) == slice_subseed(seed, list(r))
-        assert (slice_subseed(seed, r[::-1])
-                == slice_subseed(seed, list(r)[::-1]))
+        view = trevisan.SeedDigits(seed)
+        want = _reference(seed, r)
+        assert slice_subseed(seed, r) == slice_subseed(view, r) == want
+        assert slice_subseed(view, list(r)) == want
+        assert (slice_subseed(view, r[::-1])
+                == slice_subseed(view, list(r)[::-1])
+                == _reference(seed, r[::-1]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 300), st.integers(0, 40),
@@ -142,43 +160,58 @@ class TestSliceSubseed:
         r = range(start, start + step * length, step)
         seed = BitBuffer(max(0, r[-1] + 1 - short))
         with pytest.raises(IndexError):
-            slice_subseed(seed, list(r))
+            slice_subseed(trevisan.SeedDigits(seed), list(r))
         with pytest.raises(IndexError):
             slice_subseed(seed, r)
 
+    @pytest.mark.parametrize("indices", [
+        [], [3], [12, 3, 3, 20, 0], range(22, -1, -1), range(20, 4, -3)],
+        ids=["empty", "one", "unsorted-repeated", "reversed", "negative-step"])
+    def test_other_rows_read_only_from_the_view(self, indices, rng):
+        """Only a range of positive step is read from the packed seed:
+        any other row over a BitBuffer raises TypeError naming SeedDigits,
+        and the same positions over SeedDigits give the reference."""
+        seed = rand_buf(rng, 23)
+        with pytest.raises(TypeError, match="SeedDigits"):
+            slice_subseed(seed, indices)
+        want = _reference(seed, indices)
+        assert slice_subseed(trevisan.SeedDigits(seed), indices) == want
+
 
 class TestGatherFromDigits:
-    """slice_subseed on a BitBuffer, bit by bit, and on the SeedDigits that
-    extract_all makes of it, by one itemgetter over its digit view."""
+    """slice_subseed on the SeedDigits that extract_all makes of a
+    BitBuffer, by one itemgetter over its digit view, against the per-bit
+    reference read from to_bytes()."""
 
     @pytest.mark.parametrize("indices", [
         [], [5], [12, 3, 3, 20, 0, 12], [22], list(range(23))[::-1]],
         ids=["empty", "one", "unsorted-repeated", "last-bit", "reversed"])
     def test_list_positions(self, indices, rng):
         seed = rand_buf(rng, 23)  # the last byte holds 7 bits
-        want = sum(seed.get_bits(i, 1) << j for j, i in enumerate(indices))
-        assert slice_subseed(seed, indices) == want
-        assert slice_subseed(trevisan.SeedDigits(seed), indices) == want
+        assert (slice_subseed(trevisan.SeedDigits(seed), indices)
+                == _reference(seed, indices))
 
     @pytest.mark.parametrize("position", [-1, 23], ids=["minus-one", "len"])
     def test_position_outside_raises_the_same_error(self, position, rng):
+        # a list over the view, and a range over either form
         seed = rand_buf(rng, 23)
-        for form in (seed, trevisan.SeedDigits(seed)):
-            for indices in ([position], [4, position, 0]):
-                with pytest.raises(IndexError) as info:
-                    slice_subseed(form, indices)
-                assert str(info.value) == "subseed position outside [0, 23)"
+        view = trevisan.SeedDigits(seed)
+        one = range(position, position + 1)
+        for form, indices in ((view, [position]), (view, [4, position, 0]),
+                              (view, one), (seed, one)):
+            with pytest.raises(IndexError) as info:
+                slice_subseed(form, indices)
+            assert str(info.value) == "subseed position outside [0, 23)"
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 80), st.randoms(use_true_random=False))
     def test_view_matches_bits(self, bits, rnd):
         seed = BitBuffer(bits, rnd.getrandbits(bits))
         view = trevisan.SeedDigits(seed)
-        assert view.digits == bytes(b"01"[seed.get_bits(i, 1)]
-                                    for i in range(bits))
+        assert view.digits == bytes(b"01"[bit(seed, i)] for i in range(bits))
         assert view._buf is seed._buf  # the bytes are shared, not copied
         indices = [rnd.randrange(bits) for _ in range(rnd.randrange(40))]
-        assert slice_subseed(view, indices) == slice_subseed(seed, indices)
+        assert slice_subseed(view, indices) == _reference(seed, indices)
 
 
 class TestExtractionJob:
@@ -268,7 +301,7 @@ class TestExtractAll:
         row = design.compute_Si(0)
         want = ext.extract(ext.prepare(x),
                            [slice_subseed(seed, row[:ext.t_req])])
-        assert extract_all(job).get_bits(0, 1) == want
+        assert bit(extract_all(job), 0) == want
 
     def test_worker_count_invariance(self, rng):
         for family in FAMILIES:
@@ -467,7 +500,7 @@ class TestExtractAll:
         for i in range(8):
             row = design.compute_Si(i)
             sub = slice_subseed(seed, row[:ext.t_req])
-            assert out.get_bits(i, 1) == ext.extract(ext.prepare(x), [sub])
+            assert bit(out, i) == ext.extract(ext.prepare(x), [sub])
 
     def test_unused_seed_bit_is_ignored(self, rng):
         ext = XorExtractor(64, 3)
@@ -480,7 +513,7 @@ class TestExtractAll:
         job = ExtractionJob(input=x, seed=seed, design=design,
                             extractor=ext, m=4)
         before = extract_all(job).to_bytes()
-        seed.set_bit(free, 1 - seed.get_bits(free, 1))
+        flip(seed, free)
         assert extract_all(job).to_bytes() == before
 
     def test_pipeline_linearity(self, rng):
@@ -490,8 +523,8 @@ class TestExtractAll:
             out1 = extract_all(job)
             job.input = x2
             out2 = extract_all(job)
-            job.input = x1 ^ x2
-            assert extract_all(job) == out1 ^ out2
+            job.input = xor(x1, x2)
+            assert extract_all(job) == xor(out1, out2)
 
     @pytest.mark.parametrize("variant", list(DesignVariant),
                              ids=lambda v: v.name.lower())
