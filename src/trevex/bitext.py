@@ -217,23 +217,6 @@ class RshExtractor:
         return (r & subseed >> l).bit_count() & 1
 
 
-# Neighbor rules of the degree-8 expander on Z_side x Z_side, in fixed edge
-# label order (+ before -).  Rule b0 + 2*b1 + 4*b2 moves x (b2 = 0) or y
-# (b2 = 1) by a term in the other coordinate, 2y or else y + 1 for x, 2x or
-# else 2x + 1 for y (b1), added or else subtracted (b0).  LuExtractor walks by
-# _Lanes.step, which computes that reading of the table in lanes; the table
-# is the reference it is tested against.
-LU_NEIGHBOR_RULES = (
-    lambda x, y, s: ((x + 2 * y) % s, y),
-    lambda x, y, s: ((x - 2 * y) % s, y),
-    lambda x, y, s: ((x + y + 1) % s, y),
-    lambda x, y, s: ((x - y - 1) % s, y),
-    lambda x, y, s: (x, (y + 2 * x) % s),
-    lambda x, y, s: (x, (y - 2 * x) % s),
-    lambda x, y, s: (x, (y + 2 * x + 1) % s),
-    lambda x, y, s: (x, (y - 2 * x - 1) % s),
-)
-
 # _TOP_BIT[o] maps a byte to 0x80 if it has bit o set, else to 0; _ONE_HOT
 # maps it to 1 << (its low 3 bits); _DIGITS maps 0 and 0x80 to "0" and "1".
 _TOP_BIT = [(bytes(1 << o) + b"\x80" * (1 << o)) * (128 >> o)
@@ -331,8 +314,13 @@ class _Lanes:
                         yield codes >> 3 * f
 
     def step(self, x: int, y: int, code: int) -> tuple[int, int]:
-        """One step of every walk: lane i of (x, y) moves by
-        LU_NEIGHBOR_RULES[lane i of code].  Each residue mod side is kept
+        """One step of every walk: lane i of (x, y) moves by neighbor rule
+        b0 + 2*b1 + 4*b2, lane i of code, of the degree-8 expander on
+        Z_side x Z_side, in fixed edge label order (+ before -): it moves x
+        (b2 = 0) or y (b2 = 1) by a term in the other coordinate, 2y or
+        else y + 1 for x, 2x or else 2x + 1 for y (b1), added or else
+        subtracted (b0).  verify.LU_NEIGHBOR_RULES states the rules one
+        vertex at a time, as the reference.  Each residue mod side is kept
         by a conditional subtraction: add 2^top - side to every lane, and
         subtract side where the sum has its top bit set."""
         ones, lane_max, side, bias, top = (self.ones, self.lane_max,
@@ -388,7 +376,7 @@ class LuExtractor:
     (x, y) maps to input position x*side + y, and positions >= n read as 0
     (zero-padding keeps linearity and determinism).  Between remembered
     vertices the walk takes c single steps of 3 seed bits each, by the
-    rules of LU_NEIGHBOR_RULES.
+    neighbor rules of _Lanes.step.
 
     ``extract`` walks a run of subseeds at once, one lane per walk
     (_Lanes), with one lane int of step codes per step and a bit matrix of

@@ -9,12 +9,11 @@ prepared is extractor.prepare(input).  extract_all parses the input once
 per call and holds the prepared value only for the length of the call; the
 extractor keeps nothing, so a later call sees the input's current contents.
 Beside the input it prepares the seed, once per call and before any fork:
-when the design can yield list rows (weakdesign.yields_lists, degree
-c >= 1), it builds the seed's digit view (SeedDigits), one ASCII digit per
-seed bit, d bytes in all, and slice_subseed reads each list row from it
-with one C-level itemgetter.  Range rows are read from the seed's packed
-bytes by strided slices, and a degree-0 design, whose rows are all ranges,
-builds no view.  slice_subseed has these two paths and no third: a list
+when the design can yield list rows (its degree design.c >= 1), it builds
+the seed's digit view (SeedDigits), one ASCII digit per seed bit, d bytes
+in all, and slice_subseed reads each list row from it with one C-level
+itemgetter.  Range rows are read from the seed's packed bytes by strided
+slices, and a degree-0 design, whose rows are all ranges, builds no view.  slice_subseed has these two paths and no third: a list
 row over a packed BitBuffer raises TypeError.  Bits are sharded
 contiguously across processes: the caller computes the first shard itself,
 and each other shard is computed by a child forked from the caller, which
@@ -32,7 +31,7 @@ import os
 from operator import itemgetter
 
 from .params import Record
-from .weakdesign import serves, yields_lists
+from .weakdesign import serves
 
 
 class InsufficientSeedError(Exception):
@@ -290,9 +289,10 @@ def extract_all(job: ExtractionJob) -> BitBuffer:
         raise ValueError(f"input has {len(job.input)} bits, extractor "
                          f"takes n={job.extractor.n}")
     prepared = job.extractor.prepare(job.input)
-    # This call's job reads the seed through its digit view, built before
-    # the fan-out so that every worker shares it.
-    if yields_lists(job.design):
+    # A design of degree c >= 1 yields list rows, so this call's job reads
+    # the seed through its digit view, built before the fan-out so that
+    # every worker shares it.
+    if job.design.c:
         job = ExtractionJob(job.input, SeedDigits(job.seed), job.design,
                             job.extractor, job.m, job.workers)
     m = job.m

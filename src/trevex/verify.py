@@ -15,8 +15,7 @@ from operator import floordiv
 
 from .finfield import BinaryField, PrimeField
 from .trevisan import BitBuffer, ExtractionJob
-from .weakdesign import (BasicDesign, BlockDesign, LoadedBasicDesign,
-                         LoadedBlockDesign)
+from .weakdesign import BasicDesign, BlockDesign, LoadedBasicDesign
 
 # Rational over-approximation of 2e, so a floating comparison can never turn
 # a true bound violation into a pass.
@@ -166,40 +165,48 @@ def _naive_basic_row(design: BasicDesign, i: int) -> list[int]:
     return sorted(out)
 
 
-def _loaded_basic_rows(design: LoadedBasicDesign, m: int) -> list[list[int]]:
-    """The first m rows of a loaded basic design: x*t + i for a row i
-    below t, then the rows as the cache stored them."""
-    t = design.t_act
-    rows = [[x * t + i for x in range(t)] for i in range(min(t, m))]
-    return rows + [list(row) for row in design._stored[:max(m - t, 0)]]
+def _naive_basic_rows(basic: BasicDesign, n: int) -> list[list[int]]:
+    """The first n rows of a basic design: as a loaded cache kept them
+    (x*t + i for a row i below t), or as the construction gives them."""
+    if isinstance(basic, LoadedBasicDesign):
+        t = basic.t_act
+        rows = [[x * t + i for x in range(t)] for i in range(min(t, n))]
+        return rows + [list(row) for row in basic._stored[:max(n - t, 0)]]
+    return [_naive_basic_row(basic, i) for i in range(n)]
 
 
 def _naive_design_rows(design, m: int) -> list[list[int]]:
-    """Rows as the construction gives them, or as a loaded cache kept them
-    (a row below t as its range), always as lists.  A loaded design
-    is an instance of its construction's class, so it is tested first."""
-    if isinstance(design, LoadedBasicDesign):
-        return _loaded_basic_rows(design, m)
-    if isinstance(design, BasicDesign):
-        return [_naive_basic_row(design, i) for i in range(m)]
-    if isinstance(design, LoadedBlockDesign):
-        basic = _loaded_basic_rows(design._basic, max(design.m_list))
-    elif isinstance(design, BlockDesign):
-        basic = [_naive_basic_row(design._basic, k)
-                 for k in range(max(design.m_list))]
-    else:
+    """The first m rows, always as lists: the rows of the design's basic
+    design, composed on the block diagonal for a block design."""
+    if not isinstance(design, (BasicDesign, BlockDesign)):
         raise TypeError(f"unsupported design {type(design).__name__}")
+    basic = design.basic
+    rows = _naive_basic_rows(basic, min(basic.m, m))
+    if basic is design:
+        return rows
     t2 = design.t_act * design.t_act
-    rows = []
-    for j, mj in enumerate(design.m_list):  # block-sequential
-        for k in range(mj):
-            rows.append([e + j * t2 for e in basic[k]])
-    return rows[:m]
+    return [[e + j * t2 for e in row]  # block-sequential
+            for j, mj in enumerate(design.m_list) for row in rows[:mj]][:m]
 
 
 def _bits_of(buf: BitBuffer) -> list[int]:
     data = buf.to_bytes()
     return [(data[i // 8] >> (i % 8)) & 1 for i in range(len(buf))]
+
+
+# Neighbor rules of the degree-8 expander on Z_side x Z_side that the lu
+# extractor walks, one vertex at a time, indexed by a step's 3-bit code as
+# bitext._Lanes.step reads it in lanes.
+LU_NEIGHBOR_RULES = (
+    lambda x, y, s: ((x + 2 * y) % s, y),
+    lambda x, y, s: ((x - 2 * y) % s, y),
+    lambda x, y, s: ((x + y + 1) % s, y),
+    lambda x, y, s: ((x - y - 1) % s, y),
+    lambda x, y, s: (x, (y + 2 * x) % s),
+    lambda x, y, s: (x, (y - 2 * x) % s),
+    lambda x, y, s: (x, (y + 2 * x + 1) % s),
+    lambda x, y, s: (x, (y - 2 * x - 1) % s),
+)
 
 
 def _naive_one_bit(extractor, input_bits: list[int], sub_bits: list[int]) -> int:
@@ -248,23 +255,7 @@ def _naive_one_bit(extractor, input_bits: list[int], sub_bits: list[int]) -> int
                 for _ in range(extractor.c):
                     e = walk[3 * step] | (walk[3 * step + 1] << 1) | (walk[3 * step + 2] << 2)
                     step += 1
-                    # independently re-stated neighbor rules
-                    if e == 0:
-                        x = (x + 2 * y) % side
-                    elif e == 1:
-                        x = (x - 2 * y) % side
-                    elif e == 2:
-                        x = (x + y + 1) % side
-                    elif e == 3:
-                        x = (x - y - 1) % side
-                    elif e == 4:
-                        y = (y + 2 * x) % side
-                    elif e == 5:
-                        y = (y - 2 * x) % side
-                    elif e == 6:
-                        y = (y + 2 * x + 1) % side
-                    else:
-                        y = (y - 2 * x - 1) % side
+                    x, y = LU_NEIGHBOR_RULES[e](x, y, side)
         return bit
     raise TypeError(f"unsupported extractor {name}")
 

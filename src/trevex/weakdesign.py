@@ -19,8 +19,11 @@ writes for that design.  Parameters that admit no design raise
 
 The pair-to-index map is (x, p(x)) -> x*t + p(x), fixed for reproducibility.
 
-Every design's ``compute_Si(i)`` returns row i as an ascending sequence of
-ints that the caller owns.  Basic row i < t is the constant polynomial i,
+Every design states ``c``, its polynomial degree, and ``basic``, the basic
+design whose rows it serves: a basic design is its own, and a block design
+has one shared by all its blocks, whose degree it states.  Its
+``compute_Si(i)`` returns row i as an ascending sequence of ints that the
+caller owns.  Basic row i < t is the constant polynomial i,
 {x*t + i : x < t}: it is a ``range`` in a degree-0 design (c = 0) and in a
 loaded one.  Any other row is a fresh list.
 """
@@ -101,6 +104,10 @@ class BasicDesign:
         self.c = degree_bound(t, m)
         self.d = t * t
 
+    @property
+    def basic(self) -> BasicDesign:
+        return self
+
     def coefficients(self, i: int) -> list[int]:
         """Base-t digits of i: coefficient alpha_j of x**j, j = 0..c."""
         t = self.t_act
@@ -165,8 +172,9 @@ class BlockDesign:
         self.t_act = t
         self.m = m
         self.d = len(self.m_list) * t * t
-        self._basic = BasicDesign(t, max(self.m_list))
-        self.variant = (DesignVariant.BLOCK_GF2X if self._basic.variant.is_gf2x
+        self.basic = BasicDesign(t, max(self.m_list))
+        self.c = self.basic.c
+        self.variant = (DesignVariant.BLOCK_GF2X if self.basic.variant.is_gf2x
                         else DesignVariant.BLOCK_GFP)
         # the first row of each block, for a bisect by row index
         self._starts = [0, *accumulate(self.m_list[:-1])]
@@ -179,7 +187,7 @@ class BlockDesign:
         k = i - self._starts[j]
         base = self._row_cache.get(k)
         if base is None:
-            base = self._basic.compute_Si(k)
+            base = self.basic.compute_Si(k)
             self._row_cache[k] = base
         return _shifted(base, j * self.t_act * self.t_act)
 
@@ -221,16 +229,6 @@ def serves(design, m: int) -> bool:
     return design.m == m if design.variant.is_block else design.m >= m
 
 
-def yields_lists(design) -> bool:
-    """Whether compute_Si can return a list: a basic design of degree
-    c >= 1, or a block design over one; every row of a degree-0 design is
-    a range.  A design that states no degree (c, or a block design's
-    _basic) may yield lists."""
-    basic = (getattr(design, "_basic", design) if design.variant.is_block
-             else design)
-    return getattr(basic, "c", 1) >= 1
-
-
 # --- disk cache -----------------------------------------------------------
 #
 # magic "TWD2" | variant u8 | t_act u64 | m u64 | d u64
@@ -253,7 +251,7 @@ def _header(design) -> bytes:
     if design.d > MAX_SEED_BITS:  # no run's design; and d fits its u64
         raise DesignFormatError(f"seed length d={design.d} of t_act={t} "
                                 f"exceeds addressable range")
-    if yields_lists(design) and t * t > 1 << 32:  # list rows are stored
+    if design.c and t * t > 1 << 32:  # list rows are stored
         raise DesignFormatError(f"t_act={t} has row elements past the u32 "
                                 f"range of a design cache")
     head = _MAGIC + struct.pack("<BQQQ", design.variant.value, t, design.m,
@@ -262,7 +260,7 @@ def _header(design) -> bytes:
         return head
     m_list = design.m_list
     return head + struct.pack(f"<Q{len(m_list)}QQ", len(m_list), *m_list,
-                              design._basic.m)
+                              design.basic.m)
 
 
 class LoadedBasicDesign(BasicDesign):
@@ -289,7 +287,7 @@ class LoadedBlockDesign(BlockDesign):
 
     def __init__(self, t: int, m: int, stored):
         super().__init__(t, m)
-        self._basic = LoadedBasicDesign(t, self._basic.m, stored)
+        self.basic = LoadedBasicDesign(t, self.basic.m, stored)
 
     # an own attribute, since layer tracing wraps each class's own
     compute_Si = BlockDesign.compute_Si
@@ -301,8 +299,7 @@ def design_save(design, path) -> None:
     that stops early leaves a file too short for ``design_load``."""
     header = _header(design)
     t = design.t_act
-    basic = design._basic if design.variant.is_block else design
-    rows = map(basic.compute_Si, range(t, basic.m))
+    rows = map(design.basic.compute_Si, range(t, design.basic.m))
     crc = zlib.crc32(header)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -364,7 +361,7 @@ def design_load(path):
         if rd.take(len(rest)) != rest:  # it begins with the fields just read
             raise DesignFormatError(f"header is not the one saved for "
                                     f"({variant.name}, t_act={t}, {m=})")
-        n_rows = design._basic.m if variant.is_block else m
+        n_rows = design.basic.m
         size = rd.pos + 4 * t * max(n_rows - t, 0) + 4
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode) and st.st_size != size:  # a pipe has none

@@ -186,7 +186,7 @@ def _degree_zero_job(shape: str, tmp_path) -> ExtractionJob:
         ext = bitext.RshExtractor(4096, 8)
         design = weakdesign.make_design(weakdesign.DesignVariant.BLOCK_GFP,
                                         ext.t_req, 40)
-        assert design._basic.c == 0
+        assert design.c == 0
     assert all(isinstance(design.compute_Si(i), range) for i in range(40))
     return ExtractionJob(input=rand_buf(rng, ext.n), seed=rand_buf(rng, design.d),
                          design=design, extractor=ext, m=40)

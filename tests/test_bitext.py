@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trevex import bitext, params
-from trevex.bitext import (LU_NEIGHBOR_RULES, LuExtractor, RshExtractor,
-                           XorExtractor, from_params)
+from trevex.bitext import LuExtractor, RshExtractor, XorExtractor, from_params
 from trevex.finfield import BinaryField, find_irreducible
 from trevex.trevisan import BitBuffer, ExtractionJob, extract_all
-from trevex.verify import naive_extract
+from trevex.verify import LU_NEIGHBOR_RULES, naive_extract
 from trevex.weakdesign import DesignVariant, make_design
 
 from conftest import (FAMILIES, bit, buf_from_bits, field_pow, flip, ones,

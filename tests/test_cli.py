@@ -581,7 +581,7 @@ class TestDesignTools:
         """The design's cache in the earlier TWD1 format: the same header
         under the magic "TWD1", then every basic row, rows below t
         included, then the CRC-32."""
-        basic = design._basic if design.variant.is_block else design
+        basic = design.basic
         body = b"TWD1" + _header(design)[4:] + b"".join(
             struct.pack(f"<{design.t_act}I", *basic.compute_Si(k))
             for k in range(basic.m))

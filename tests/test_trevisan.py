@@ -263,6 +263,7 @@ class _FaultyDesign:
         self.design, self.fault = design, fault
         self.d, self.t_act = design.d, design.t_act
         self.m, self.variant = design.m, design.variant
+        self.c, self.basic = design.c, design.basic
 
     def compute_Si(self, i):
         self.fault(i)
@@ -637,8 +638,7 @@ LIST_ROW_KINDS = ["gfp-c1", "gfp-c2", "gf2x-c1", "block-gfp-c1",
 @pytest.mark.parametrize("kind", LIST_ROW_KINDS)
 def test_list_rows_match_naive_oracle_at_every_worker_count(kind, tmp_path):
     design = _list_row_design(kind, tmp_path)
-    basic = design._basic if design.variant.is_block else design
-    assert basic.c == (2 if kind == "gfp-c2" else 1)
+    assert design.basic.c == (2 if kind == "gfp-c2" else 1)
     ext = XorExtractor(256, 2)
     rng = random.Random(kind)
     job = ExtractionJob(input=rand_buf(rng, 256), seed=rand_buf(rng, design.d),

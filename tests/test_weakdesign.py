@@ -5,7 +5,6 @@ import random
 import struct
 import threading
 import tracemalloc
-import types
 import zlib
 
 import pytest
@@ -16,9 +15,9 @@ from trevex.bitext import LuExtractor, RshExtractor, XorExtractor
 from trevex.finfield import next_prime
 from trevex.params import TWO_E, InfeasibleParameters, RKind
 from trevex.weakdesign import (BasicDesign, BlockDesign, DesignFormatError, DesignVariant,
-                               _header, block_partition, degree_bound, design_d,
-                               design_load, design_save, make_design, round_t,
-                               yields_lists)
+                               LoadedBasicDesign, _header, block_partition,
+                               degree_bound, design_d, design_load, design_save,
+                               make_design, round_t)
 from trevex.trevisan import ExtractionJob, extract_all
 from trevex.verify import _naive_basic_row, naive_extract
 
@@ -127,7 +126,7 @@ class TestBlockDesign:
         for j, mj in enumerate(bd.m_list):
             for k in range(mj):
                 row = bd.compute_Si(pos)
-                assert row == [e + j * t2 for e in bd._basic.compute_Si(k)]
+                assert row == [e + j * t2 for e in bd.basic.compute_Si(k)]
                 pos += 1
         assert pos == 50
 
@@ -196,13 +195,22 @@ class TestMakeDesign:
 
     @pytest.mark.parametrize("variant", list(DesignVariant),
                              ids=lambda v: v.name.lower())
-    def test_yields_lists(self, variant):
-        # t = 11 or 16: degree 0 at the first m, degree 1 at the second
-        low, high = (20, 200) if variant.is_block else (8, 40)
-        assert not yields_lists(make_design(variant, 11, low))
-        assert yields_lists(make_design(variant, 11, high))
-        # a design that states no degree may yield lists
-        assert yields_lists(types.SimpleNamespace(variant=variant))
+    def test_degree_and_basic_design(self, variant, tmp_path):
+        # t = 11 or 16: degree 0 at the first m, degree 1 at the second; a
+        # block design states the degree of its shared basic design
+        path = tmp_path / "design.twd"
+        for m, c in (((20, 0), (200, 1)) if variant.is_block
+                     else ((8, 0), (40, 1))):
+            design = make_design(variant, 11, m)
+            design_save(design, path)
+            loaded = design_load(path)
+            for d in (design, loaded):
+                basic = d.basic
+                assert d.c == basic.c == c
+                assert basic.basic is basic
+                assert basic.m == (max(d.m_list) if variant.is_block else m)
+            assert type(design.basic) is BasicDesign
+            assert type(loaded.basic) is LoadedBasicDesign
 
 
 class TestDiskCache:
@@ -235,11 +243,19 @@ class TestDiskCache:
             assert list(loaded.compute_Si(i)) == list(design.compute_Si(i))
 
     def test_loaded_round_trip_again(self, tmp_path):
-        design = make_design(DesignVariant.BLOCK_GFP, 7, 20)
+        # m = 50: 9 shared basic rows of degree 1, of which rows 0, 3 and 7
+        # are memoised before the second save
+        design = make_design(DesignVariant.BLOCK_GFP, 7, 50)
         p1, p2 = tmp_path / "a.twd", tmp_path / "b.twd"
         design_save(design, p1)
-        design_save(design_load(p1), p2)
+        loaded = design_load(p1)
+        for i in (0, 3, 7):
+            loaded.compute_Si(i)
+        memo = dict(loaded._row_cache)
+        assert sorted(memo) == [0, 3, 7]
+        design_save(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        assert loaded._row_cache == memo  # the save fills no more of it
 
     def test_truncated_file(self, tmp_path):
         design = make_design(DesignVariant.GFP, 7, 20)
@@ -382,7 +398,7 @@ class TestDiskCache:
         # CRC at any t_act, here 65,537 with d past 2**32.
         design = make_design(variant, 65_537, m)
         assert design.t_act == 65_537 and design.d > 1 << 32
-        assert not yields_lists(design)
+        assert design.c == 0
         path = tmp_path / "design.twd"
         design_save(design, path)
         assert path.stat().st_size == len(_header(design)) + 4
@@ -435,9 +451,8 @@ class TestDiskCache:
         # are stored, so a degree-0 design (n <= t) stores none.
         design = make_design(variant, 11, m)
         sizes = design.m_list if variant.is_block else [m]
-        basic = design._basic if variant.is_block else design
-        t, n = design.t_act, basic.m
-        assert (basic.c == 0) == (n <= t) == (m in (8, 20))
+        t, n = design.t_act, design.basic.m
+        assert (design.c == 0) == (n <= t) == (m in (8, 20))
         path = tmp_path / "design.twd"
         design_save(design, path)
         assert path.stat().st_size == (len(_header(design))
@@ -624,8 +639,8 @@ class TestDiskCache:
         # block-gfp, t = 11, m = 200: shared basic row 13, p(x) = x + 2,
         # replaced by basic row 2, the progression {11x + 2}, CRC recomputed
         design = make_design(DesignVariant.BLOCK_GFP, 11, 200)
-        planted = list(design._basic.compute_Si(2))
-        assert planted != design._basic.compute_Si(13)
+        planted = list(design.basic.compute_Si(2))
+        assert planted != design.basic.compute_Si(13)
         path = tmp_path / "design.twd"
         design_save(design, path)
         data = bytearray(path.read_bytes())
@@ -653,22 +668,6 @@ class TestDiskCache:
         again = tmp_path / "again.twd"
         design_save(loaded, again)
         assert again.read_bytes() == bytes(data)
-
-    @pytest.mark.parametrize("t", [7, 8], ids=["block-gfp", "block-gf2x"])
-    def test_save_after_a_partial_memo_matches_a_fresh_save(self, t,
-                                                            tmp_path):
-        # m = 50: 9 shared basic rows of degree 1, of which rows 0, 3 and 7
-        # are memoised before the save
-        fresh, partial = tmp_path / "fresh.twd", tmp_path / "partial.twd"
-        design_save(BlockDesign(t, 50), fresh)
-        design = BlockDesign(t, 50)
-        for i in (0, 3, 7):
-            design.compute_Si(i)
-        memo = dict(design._row_cache)
-        assert sorted(memo) == [0, 3, 7]
-        design_save(design, partial)
-        assert partial.read_bytes() == fresh.read_bytes()
-        assert design._row_cache == memo  # the save fills no more of it
 
     def test_block_cache_smaller_than_explicit_dump(self, tmp_path):
         design = make_design(DesignVariant.BLOCK_GFP, 7, 100)
