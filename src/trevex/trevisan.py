@@ -12,9 +12,11 @@ Beside the input it prepares the seed, once per call and before any fork:
 when the design can yield list rows (its degree design.c >= 1), it builds
 the seed's digit view (SeedDigits), one ASCII digit per seed bit, d bytes
 in all, and slice_subseed reads each list row from it with one C-level
-itemgetter.  Range rows are read from the seed's packed bytes by strided
-slices, and a degree-0 design, whose rows are all ranges, builds no view.  slice_subseed has these two paths and no third: a list
-row over a packed BitBuffer raises TypeError.  Bits are sharded
+itemgetter.  Only list rows use the digit view.  Range rows are read as
+packed bits, by strided slices of the seed's bytes that land each bit in
+place, and a degree-0 design, whose rows are all ranges, builds no view.
+slice_subseed has these two paths and no third: a list row over a packed
+BitBuffer raises TypeError.  Bits are sharded
 contiguously across processes: the caller computes the first shard itself,
 and each other shard is computed by a child forked from the caller, which
 inherits the job, the prepared input and the digit view (nothing is
@@ -90,6 +92,11 @@ class BitBuffer:
 # _ASCII_BIT[o] maps a byte to the ASCII digit ("0" or "1") of its bit o:
 # over the bytes 0..255, bit o runs in alternating blocks of 2**o.
 _ASCII_BIT = [(b"0" * (1 << o) + b"1" * (1 << o)) * (128 >> o) for o in range(8)]
+# _MOVE_BIT[o][j] maps a byte b to (b >> o & 1) << j: its bit o moved to
+# bit j, the other bits cleared.  Translated from _ASCII_BIT, so that the 64
+# tables cost no per-byte Python loop at import.
+_MOVE_BIT = [[digits.translate(bytes(48) + bytes((0, 1 << j)) + bytes(206))
+              for j in range(8)] for digits in _ASCII_BIT]
 
 
 class SeedDigits:
@@ -119,13 +126,15 @@ def slice_subseed(seed: BitBuffer | SeedDigits, indices) -> int:
     """Bits of the seed at the given positions, in order, LSB-first; a
     position outside [0, len_bits) raises IndexError.
 
-    The bits are read straight from the seed and packed by int() from a
-    string of binary digits, last position first.  A range with a positive
-    step is read by strided byte slices, from either form of the seed: its
-    positions j, j+8, j+16, ... share one bit offset and lie step bytes
-    apart.  Any other row is gathered by one itemgetter from a SeedDigits'
-    digit view, whose own IndexError bounds it above; on a BitBuffer it
-    raises TypeError."""
+    A range with a positive step is read by strided byte slices, from
+    either form of the seed: its positions j, j+8, j+16, ... share one bit
+    offset and lie step bytes apart, so for each of its first 8 positions
+    j, a table (_MOVE_BIT) moves that offset's bit of every byte of the
+    slice to bit j, and the translated slice, read little-endian, holds
+    subseed bits j, j+8, j+16, ... in place.  Any other row is gathered by
+    one itemgetter from a SeedDigits' digit view, whose own IndexError
+    bounds it above, and packed by int() from that string of binary
+    digits, last position first; on a BitBuffer it raises TypeError."""
     strided = isinstance(indices, range) and indices.step > 0
     if not strided and not isinstance(seed, SeedDigits):
         raise TypeError("a row other than a range of positive step is read "
@@ -145,12 +154,13 @@ def slice_subseed(seed: BitBuffer | SeedDigits, indices) -> int:
         raise _outside(seed)
     buf = seed._buf
     n, step = len(indices), indices.step
-    digits = bytearray(n)
+    from_bytes = int.from_bytes  # bound once, not once per slice
+    out = 0
     for j, pos in enumerate(indices[:8]):
-        byte, count = pos >> 3, (n - j + 7) >> 3
-        digits[j::8] = buf[byte:byte + count * step:step].translate(
-            _ASCII_BIT[pos & 7])
-    return int(digits[::-1], 2)
+        byte = pos >> 3
+        out |= from_bytes(buf[byte:byte + (n - j + 7 >> 3) * step:step]
+                          .translate(_MOVE_BIT[pos & 7][j]), "little")
+    return out
 
 
 def _outside(seed: BitBuffer | SeedDigits) -> IndexError:

@@ -24,7 +24,9 @@ from conftest import (FAMILIES, bit, buf_from_bits, flip, ones, rand_buf,
 def _reference(seed: BitBuffer, indices) -> int:
     """The subseed at the given positions, read bit by bit from the
     seed's bytes."""
-    return sum(bit(seed, i) << j for j, i in enumerate(indices))
+    data = seed.to_bytes()
+    return sum((data[i >> 3] >> (i & 7) & 1) << j
+               for j, i in enumerate(indices))
 
 
 class TestBitBuffer:
@@ -151,6 +153,40 @@ class TestSliceSubseed:
         assert (slice_subseed(view, r[::-1])
                 == slice_subseed(view, list(r)[::-1])
                 == _reference(seed, r[::-1]))
+
+    @pytest.mark.parametrize("step, length, offset, starts", [
+        (4703, 4697, 0, [*range(16), 4702]),
+        (101, 100, 2 * 101 ** 2, [*range(16), 100])],
+        ids=["lu-cached", "rsh-block-last-block"])
+    def test_range_at_benchmark_geometries(self, step, length, offset, starts,
+                                           rng):
+        """The rows of a degree-0 design at the benchmark's geometries: each
+        position's slice reads bytes step apart, over the whole seed."""
+        bits = offset + step * step
+        seed = rand_buf(rng, bits)
+        view = trevisan.SeedDigits(seed)
+        for start in starts:
+            r = range(offset + start, offset + start + step * length, step)
+            want = _reference(seed, r)
+            assert slice_subseed(seed, r) == slice_subseed(view, r) == want
+
+    def test_bit_tables_match_their_definition(self):
+        assert len(trevisan._MOVE_BIT) == 8
+        for o, tables in enumerate(trevisan._MOVE_BIT):
+            assert len(tables) == 8
+            for j, table in enumerate(tables):
+                assert table == bytes((b >> o & 1) << j for b in range(256))
+
+    @pytest.mark.parametrize("start, step", [(5, 13), (3, 8), (0, 1), (6, 9)])
+    def test_one_set_bit_lands_at_its_place(self, start, step):
+        """A seed with one bit set, at each position of a strided row in
+        turn, gives the subseed with only that position's bit set: a table
+        that moved bit j to bit o would read 0 wherever the two differ."""
+        r = range(start, start + 30 * step, step)
+        for k, pos in enumerate(r):
+            seed = BitBuffer(r[-1] + 1, 1 << pos)
+            assert slice_subseed(seed, r) == 1 << k
+            assert slice_subseed(trevisan.SeedDigits(seed), r) == 1 << k
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 300), st.integers(0, 40),
