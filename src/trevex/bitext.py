@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import reduce
+from itertools import islice
 from operator import getitem, itemgetter, xor
 
 from .finfield import find_irreducible
@@ -247,11 +248,13 @@ class _Lanes:
     lane i of a coordinate int is its bits [i * width, (i + 1) * width).
     Lanes are 16 bits up to side = 2^15, else 32 (up to side = 2^31,
     n = 2^62): a lane then holds every sum below 2 * side, and a sum below
-    side + 2^(width-1) has its top bit set iff it is at least side.  A
-    vertex read widens the even lanes and the odd lanes, by a mask and a
-    shift, into lanes of twice the width, where x * side + y fits, and
-    lists the even lanes' positions first; a run's walks are laid out by
-    ``interleave``, so that reads list them in run order."""
+    side + 2^(width-1) has its top bit set iff it is at least side; a
+    power-of-two side up to 2^14 (2^30 in 32-bit lanes) leaves the sums
+    below 3 * side unreduced and keeps their low bits.  A vertex read
+    widens the even lanes and the odd lanes, by a mask and a shift, into
+    lanes of twice the width, where x * side + y fits, and lists the even
+    lanes' positions first; a run's walks are laid out by ``interleave``,
+    so that reads list them in run order."""
 
     def __init__(self, side: int, count: int):
         self.side, self.count = side, count
@@ -263,8 +266,10 @@ class _Lanes:
         self.lane_max = (1 << width) - 1
         self.half = (1 << top) - 1
         self.bias = ones * ((1 << top) - side)
-        # a residue mod a power of two is its low bits
-        self.low = ones * (side - 1) if side & side - 1 == 0 else 0
+        # a residue mod a power of two is its low bits, if every unreduced
+        # sum (below 3 * side) fits a lane
+        self.low = (ones * (side - 1)
+                    if side & side - 1 == 0 and 3 * side <= 1 << width else 0)
         pairs = (count + 1) // 2
         self.evens = int.from_bytes(
             self.lane_max.to_bytes(width // 4, "little") * pairs, "little")
@@ -313,38 +318,47 @@ class _Lanes:
                     for f in range(fields):
                         yield codes >> 3 * f
 
-    def step(self, x: int, y: int, code: int) -> tuple[int, int]:
-        """One step of every walk: lane i of (x, y) moves by neighbor rule
-        b0 + 2*b1 + 4*b2, lane i of code, of the degree-8 expander on
-        Z_side x Z_side, in fixed edge label order (+ before -): it moves x
-        (b2 = 0) or y (b2 = 1) by a term in the other coordinate, 2y or
-        else y + 1 for x, 2x or else 2x + 1 for y (b1), added or else
+    def walk(self, u: int, v: int, moved_y: int,
+             codes) -> tuple[int, int, int]:
+        """Every walk's steps by codes, one lane int per step: lane i moves
+        by neighbor rule b0 + 2*b1 + 4*b2, lane i of a code, of the degree-8
+        expander on Z_side x Z_side, in fixed edge label order (+ before -):
+        it moves x (b2 = 0) or y (b2 = 1) by a term in the other coordinate,
+        2y or else y + 1 for x, 2x or else 2x + 1 for y (b1), added or else
         subtracted (b0).  verify.LU_NEIGHBOR_RULES states the rules one
-        vertex at a time, as the reference.  Each residue mod side is kept
-        by a conditional subtraction: add 2^top - side to every lane, and
+        vertex at a time, as the reference.
+
+        A walk is carried as (u, v, moved_y): u is the coordinate its last
+        step moved, and moved_y is lane_max in the lanes where that was y,
+        else 0 (x, y, 0 before the first step).  A lane's coordinates are
+        swapped only where its moving coordinate changes, which leaves
+        u ^ v as it was, and (x, y) is u, v swapped where moved_y is set.
+        Where side is a power of two and 3 * side fits a lane, u - term
+        is (u + (term ^ (2 * side - 1)) + 1) & (side - 1), term unreduced
+        (at most 2 * side - 1).  Other sides keep each residue by a
+        conditional subtraction: add 2^top - side to every lane, and
         subtract side where the sum has its top bit set."""
-        ones, lane_max, side, bias, top = (self.ones, self.lane_max,
-                                           self.side, self.bias, self.top)
-        b0, b1, b2 = code & ones, code >> 1 & ones, code >> 2 & ones
-        moves_y = b2 * lane_max
-        swap = (x ^ y) & moves_y
-        u, v = x ^ swap, y ^ swap  # u moves, by a term in v
-        term = v + (v & ((b1 ^ ones) | b2) * lane_max) + b1
-        low = self.low
-        if low:
-            term &= low
-        else:
-            term -= (term + bias >> top & ones) * side
-        # b0: u - term as u + (side - term), side - term being
-        # (half ^ term) - (half - side) for half = 2^top - 1 >= term
-        half = self.half
-        u += (term ^ b0 * half) - b0 * (half - side)
-        if low:
-            u &= low
-        else:
-            u -= (u + bias >> top & ones) * side
-        swap = (u ^ v) & moves_y
-        return u ^ swap, v ^ swap
+        ones, lane_max, side, bias, top, half, low = (
+            self.ones, self.lane_max, self.side, self.bias, self.top,
+            self.half, self.low)
+        wrap = 2 * side - 1
+        for code in codes:
+            b0, b1, b2 = code & ones, code >> 1 & ones, code >> 2 & ones
+            moves_y = b2 * lane_max
+            swap = (u ^ v) & (moves_y ^ moved_y)
+            u ^= swap  # u moves, by a term in v
+            v ^= swap
+            moved_y = moves_y
+            term = v + (v & ((b1 ^ ones) | b2) * lane_max) + b1
+            if low:
+                u = u + (term ^ b0 * wrap) + b0 & low
+            else:
+                term -= (term + bias >> top & ones) * side
+                # b0: u - term as u + (side - term), side - term being
+                # (half ^ term) - (half - side) for half = 2^top - 1 >= term
+                u += (term ^ b0 * half) - b0 * (half - side)
+                u -= (u + bias >> top & ones) * side
+        return u, v, moved_y
 
     def read(self, prepared: bytes, x: int, y: int) -> int:
         """Lanes of 8 bits, in run order, whose bit 7 is the input bit at
@@ -377,11 +391,13 @@ class LuExtractor:
     (x, y) maps to input position x*side + y, and positions >= n read as 0
     (zero-padding keeps linearity and determinism).  Between remembered
     vertices the walk takes c single steps of 3 seed bits each, by the
-    neighbor rules of _Lanes.step.
+    neighbor rules of _Lanes.walk.
 
     ``extract`` walks a run of subseeds at once, one lane per walk
     (_Lanes), with one lane int of step codes per step and a bit matrix of
-    the ell hash bits.
+    the ell hash bits: one _Lanes.walk call takes the c steps between two
+    remembered vertices, and the vertex is recovered from the walk state
+    for its read.
     """
 
     def __init__(self, n: int, c: int, ell: int):
@@ -403,11 +419,13 @@ class LuExtractor:
         side, c, ell, w = self.side, self.c, self.ell, self.idx_width
         count = len(subseeds)
         lanes = _Lanes(side, count)
-        step, read = lanes.step, lanes.read
+        walk, read = lanes.walk, lanes.read
         walks = lanes.interleave(subseeds)
         starts = [(s & (1 << w) - 1) % self.n_v for s in walks]
-        x = lanes.pack([v // side for v in starts])
-        y = lanes.pack([v % side for v in starts])
+        # the walk state of _Lanes.walk, (x, y, 0) before the first step
+        u = lanes.pack([p // side for p in starts])
+        v = lanes.pack([p % side for p in starts])
+        moved_y = 0
         betas, beta_row = _bit_matrix(subseeds, w + 3 * c * (ell - 1), ell)
         codes = lanes.step_codes(walks, w, c * (ell - 1))
         # Read each vertex bit whatever its hash bit, so that every walk
@@ -415,10 +433,10 @@ class LuExtractor:
         out = 0
         for j in range(ell):
             if j:
-                for _ in range(c):
-                    x, y = step(x, y, next(codes))
-            out ^= read(prepared, x, y) & int.from_bytes(betas[j::beta_row],
-                                                         "little")
+                u, v, moved_y = walk(u, v, moved_y, islice(codes, c))
+            swap = (u ^ v) & moved_y
+            out ^= read(prepared, u ^ swap, v ^ swap) & int.from_bytes(
+                betas[j::beta_row], "little")
         return int(out.to_bytes(count, "little").translate(_DIGITS)[::-1], 2)
 
 

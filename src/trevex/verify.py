@@ -196,7 +196,7 @@ def _bits_of(buf: BitBuffer) -> list[int]:
 
 # Neighbor rules of the degree-8 expander on Z_side x Z_side that the lu
 # extractor walks, one vertex at a time, indexed by a step's 3-bit code as
-# bitext._Lanes.step reads it in lanes.
+# bitext._Lanes.walk reads it in lanes.
 LU_NEIGHBOR_RULES = (
     lambda x, y, s: ((x + 2 * y) % s, y),
     lambda x, y, s: ((x - 2 * y) % s, y),

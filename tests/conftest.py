@@ -24,8 +24,8 @@ def value(buf: BitBuffer) -> int:
 
 
 def bit(buf: BitBuffer, i: int) -> int:
-    """Bit i of the buffer: the per-bit reference, read from its bytes."""
-    return buf.to_bytes()[i >> 3] >> (i & 7) & 1
+    """Bit i of the buffer: the per-bit reference, read from its byte."""
+    return buf._buf[i >> 3] >> (i & 7) & 1
 
 
 def xor(a: BitBuffer, b: BitBuffer) -> BitBuffer:

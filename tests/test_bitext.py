@@ -426,18 +426,27 @@ def _lanes_of(value: int, width: int, count: int) -> list[int]:
     return [value >> width * i & (1 << width) - 1 for i in range(count)]
 
 
+def _vertices(lanes, u: int, v: int, moved_y: int) -> list[tuple[int, int]]:
+    """Each lane's (x, y) from a walk state of _Lanes.walk: u and v are
+    swapped in the lanes whose last step moved y."""
+    swap = (u ^ v) & moved_y
+    return list(zip(_lanes_of(u ^ swap, lanes.width, lanes.count),
+                    _lanes_of(v ^ swap, lanes.width, lanes.count)))
+
+
 class TestLuLanes:
-    """The lane walk on its own: one step of many walks at once, the
-    lane width, the step codes and the memory of one run."""
+    """The lane walk on its own: one step and runs of steps of many walks
+    at once, the lane width, the step codes and the memory of one run."""
 
     @pytest.mark.parametrize("side", [2, 3, 1001, 1024, 1449, 1 << 15,
                                       (1 << 15) + 1])
     def test_step_matches_rules_for_every_code(self, side, rng):
         """Lane i moves as LU_NEIGHBOR_RULES[code] moves its vertex, for
         every code, at the corners and at random vertices, with the code
-        lanes' bits above bit 2 set at random.  Powers of two reduce by a
-        mask, other sides by a conditional subtraction; side = 2^15 is the
-        widest of 16-bit lanes and 2^15 + 1 takes 32-bit ones."""
+        lanes' bits above bit 2 set at random.  Powers of two up to 2^14
+        reduce by a mask, other sides by a conditional subtraction;
+        side = 2^15 is the widest of 16-bit lanes and 2^15 + 1 takes
+        32-bit ones."""
         top = side - 1
         points = [(0, 0), (0, top), (top, 0), (top, top)] + [
             (rng.randrange(side), rng.randrange(side)) for _ in range(12)]
@@ -445,15 +454,42 @@ class TestLuLanes:
         lanes = bitext._Lanes(side, len(walks))
         width = lanes.width
         assert width == (16 if side <= 1 << 15 else 32)
+        assert bool(lanes.low) == (side in (2, 1024))
         junk = [rng.randrange(1 << width - 3) << 3 for _ in walks]
-        x, y = lanes.step(lanes.pack([x for _, x, _ in walks]),
-                          lanes.pack([y for _, _, y in walks]),
-                          lanes.pack([code | j for (code, _, _), j
-                                      in zip(walks, junk)]))
-        got = list(zip(_lanes_of(x, width, len(walks)),
-                       _lanes_of(y, width, len(walks))))
-        assert got == [LU_NEIGHBOR_RULES[code](x, y, side)
-                       for code, x, y in walks]
+        state = lanes.walk(lanes.pack([x for _, x, _ in walks]),
+                           lanes.pack([y for _, _, y in walks]), 0,
+                           [lanes.pack([code | j for (code, _, _), j
+                                        in zip(walks, junk)])])
+        assert _vertices(lanes, *state) == [
+            LU_NEIGHBOR_RULES[code](x, y, side) for code, x, y in walks]
+
+    @pytest.mark.parametrize("side", [1024, 1001, (1 << 15) + 1])
+    def test_walk_matches_single_steps_lane_by_lane(self, side, rng):
+        """Many lanes walk c = 4 steps per call, twice, from the step codes
+        of their subseeds, and each lane ends where _stepped_walk ends after
+        c and 2c steps.  Lanes switch their moving coordinate from x to y,
+        or from y to x, at each step from 1 to 2c - 1, or never, and 30
+        others draw their codes at random; the state carries over between
+        the calls."""
+        c = 4
+        steps = 2 * c
+        walks = []
+        for k in range(steps + 1):
+            for y_first in (0, 4):
+                b2 = [y_first ^ 4 * (i >= k) for i in range(steps)]
+                walks.append(sum((b | rng.randrange(4)) << 3 * i
+                                 for i, b in enumerate(b2)))
+        walks += [rng.getrandbits(3 * steps) for _ in range(30)]
+        starts = [(rng.randrange(side), rng.randrange(side)) for _ in walks]
+        lanes = bitext._Lanes(side, len(walks))
+        codes = lanes.step_codes(walks, 0, steps)
+        state = (lanes.pack([x for x, _ in starts]),
+                 lanes.pack([y for _, y in starts]), 0)
+        for taken in (c, steps):
+            state = lanes.walk(*state, islice(codes, c))
+            assert _vertices(lanes, *state) == [
+                _stepped_walk(x, y, walk, taken, side)
+                for (x, y), walk in zip(starts, walks)], taken
 
     def test_lane_width_from_side(self):
         widths = [bitext._Lanes(s, 3).width
