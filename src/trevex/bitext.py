@@ -25,7 +25,7 @@ from operator import getitem, itemgetter, xor
 
 from .finfield import find_irreducible
 from .params import ExtractorParams, InfeasibleParameters, ceil_log2
-from .trevisan import BitBuffer
+from .trevisan import _MOVE_BIT, BitBuffer
 
 
 def _bits(bit, prepared, subseeds) -> int:
@@ -218,29 +218,10 @@ class RshExtractor:
         return (r & subseed >> l).bit_count() & 1
 
 
-# _TOP_BIT[o] maps a byte to 0x80 if it has bit o set, else to 0; _ONE_HOT
-# maps it to 1 << (its low 3 bits); _DIGITS maps 0 and 0x80 to "0" and "1".
-_TOP_BIT = [(bytes(1 << o) + b"\x80" * (1 << o)) * (128 >> o)
-            for o in range(8)]
+# _ONE_HOT maps a byte to 1 << (its low 3 bits); _DIGITS maps 0 and 0x80
+# to "0" and "1".
 _ONE_HOT = bytes([1, 2, 4, 8, 16, 32, 64, 128]) * 32
 _DIGITS = bytes.maketrans(b"\0\x80", b"01")
-# Walk steps packed at a time, a multiple of 8: bounds the packed codes of
-# a run of 256 walks at 192 KiB.
-_CHUNK_STEPS = 1024
-
-
-def _bit_matrix(subseeds, lo: int, width: int) -> tuple[bytearray, int]:
-    """Bits [lo, lo + width) of every subseed, one byte 0x80 or 0 per bit,
-    and the row length: bit lo + j of subseeds[r] is at r * row + j, so the
-    strided slice [j::row] is bit lo + j of every subseed in order."""
-    size = -(-width // 8)
-    mask = (1 << width) - 1
-    packed = b"".join([(s >> lo & mask).to_bytes(size, "little")
-                       for s in subseeds])
-    matrix = bytearray(8 * len(packed))
-    for o in range(8):
-        matrix[o::8] = packed.translate(_TOP_BIT[o])
-    return matrix, 8 * size
 
 
 class _Lanes:
@@ -297,26 +278,25 @@ class _Lanes:
     def step_codes(self, walks: list, lo: int, steps: int):
         """Every walk's codes of steps 0, 1, ..., steps - 1, one lane int
         per step whose lanes hold the codes in bits 0-2; the bits above
-        them are not zeroed.  The code of step k is a walk's bits lo + 3k,
-        lo + 3k + 1 and lo + 3k + 2, lowest first.  Walks are packed
-        _CHUNK_STEPS steps at a time, as they are and shifted by 15 bits,
-        so that 8 steps take two 16-bit windows, steps 8q to 8q + 4 from
-        bit 24q and steps 8q + 5 to 8q + 7 from bit 24q + 15."""
+        them are not zeroed, and up to 7 more codes may follow.  The code
+        of step k is a walk's bits lo + 3k, lo + 3k + 1 and lo + 3k + 2,
+        lowest first.  Walks are packed once, 3 bytes per 8 steps, and
+        each 8 steps take two 16-bit windows:
+        steps 8q to 8q + 4 from byte 3q, shifted by 0, 3, 6, 9 and 12, and
+        steps 8q + 5 to 8q + 7 from byte 3q + 1, shifted by 7, 10 and 13."""
         lane = self.width // 8
+        size = 3 * -(-steps // 8)
+        mask = (1 << 8 * size) - 1
+        packed = b"".join([(s >> lo & mask).to_bytes(size, "little")
+                           for s in walks])
         buf = bytearray(lane * self.count)
-        for first in range(0, steps, _CHUNK_STEPS):
-            size = 3 * -(-min(_CHUNK_STEPS, steps - first) // 8)
-            mask = (1 << 8 * size) - 1
-            at = lo + 3 * first
-            packed = [b"".join([(s >> shift & mask).to_bytes(size, "little")
-                                for s in walks]) for shift in (at, at + 15)]
-            for q in range(0, size, 3):
-                for window, fields in zip(packed, (5, 3)):
-                    buf[0::lane] = window[q::size]
-                    buf[1::lane] = window[q + 1::size]
-                    codes = int.from_bytes(buf, "little")
-                    for f in range(fields):
-                        yield codes >> 3 * f
+        for q in range(0, size, 3):
+            for at, shifts in ((q, (0, 3, 6, 9, 12)), (q + 1, (7, 10, 13))):
+                buf[0::lane] = packed[at::size]
+                buf[1::lane] = packed[at + 1::size]
+                codes = int.from_bytes(buf, "little")
+                for shift in shifts:
+                    yield codes >> shift
 
     def walk(self, u: int, v: int, moved_y: int,
              codes) -> tuple[int, int, int]:
@@ -394,10 +374,12 @@ class LuExtractor:
     neighbor rules of _Lanes.walk.
 
     ``extract`` walks a run of subseeds at once, one lane per walk
-    (_Lanes), with one lane int of step codes per step and a bit matrix of
-    the ell hash bits: one _Lanes.walk call takes the c steps between two
-    remembered vertices, and the vertex is recovered from the walk state
-    for its read.
+    (_Lanes), with one lane int of step codes per step: one _Lanes.walk
+    call takes the c steps between two remembered vertices, and the vertex
+    is recovered from the walk state for its read.  The ell hash bits of
+    every subseed are packed once, and hash bit j of the whole run is a
+    strided byte slice read through a _MOVE_BIT table, as
+    trevisan.slice_subseed reads range rows.
     """
 
     def __init__(self, n: int, c: int, ell: int):
@@ -416,6 +398,8 @@ class LuExtractor:
         return input.to_bytes().ljust(-(-self.n_v // 8), b"\0")
 
     def extract(self, prepared: bytes, subseeds) -> int:
+        if not subseeds:
+            return 0
         side, c, ell, w = self.side, self.c, self.ell, self.idx_width
         count = len(subseeds)
         lanes = _Lanes(side, count)
@@ -426,7 +410,9 @@ class LuExtractor:
         u = lanes.pack([p // side for p in starts])
         v = lanes.pack([p % side for p in starts])
         moved_y = 0
-        betas, beta_row = _bit_matrix(subseeds, w + 3 * c * (ell - 1), ell)
+        lo, size = w + 3 * c * (ell - 1), -(-ell // 8)
+        hashes = b"".join([(s >> lo & (1 << ell) - 1).to_bytes(size, "little")
+                           for s in subseeds])
         codes = lanes.step_codes(walks, w, c * (ell - 1))
         # Read each vertex bit whatever its hash bit, so that every walk
         # touches exactly ell input bits for any hash string.
@@ -436,7 +422,7 @@ class LuExtractor:
                 u, v, moved_y = walk(u, v, moved_y, islice(codes, c))
             swap = (u ^ v) & moved_y
             out ^= read(prepared, u ^ swap, v ^ swap) & int.from_bytes(
-                betas[j::beta_row], "little")
+                hashes[j >> 3::size].translate(_MOVE_BIT[j & 7][7]), "little")
         return int(out.to_bytes(count, "little").translate(_DIGITS)[::-1], 2)
 
 

@@ -94,7 +94,8 @@ class BitBuffer:
 _ASCII_BIT = [(b"0" * (1 << o) + b"1" * (1 << o)) * (128 >> o) for o in range(8)]
 # _MOVE_BIT[o][j] maps a byte b to (b >> o & 1) << j: its bit o moved to
 # bit j, the other bits cleared.  Translated from _ASCII_BIT, so that the 64
-# tables cost no per-byte Python loop at import.
+# tables cost no per-byte Python loop at import.  LU's hash planes
+# (bitext.LuExtractor.extract) read them too, moving each bit to bit 7.
 _MOVE_BIT = [[digits.translate(bytes(48) + bytes((0, 1 << j)) + bytes(206))
               for j in range(8)] for digits in _ASCII_BIT]
 

@@ -496,23 +496,28 @@ class TestLuLanes:
                   for s in (1, 2, 1 << 15, (1 << 15) + 1, 1 << 31)]
         assert widths == [16, 16, 16, 32, 32]
 
-    def test_step_codes_across_a_chunk(self, rng):
-        """Step k of walk i, bits lo + 3k to lo + 3k + 2 of its subseed,
-        over more steps than one packed chunk holds."""
-        steps = bitext._CHUNK_STEPS + 13
-        walks = [rng.getrandbits(3 * steps + 40) for _ in range(5)]
-        lanes = bitext._Lanes(1024, len(walks))
-        codes = list(islice(lanes.step_codes(walks, 11, steps), steps))
-        assert len(codes) == steps
-        for k, code in enumerate(codes):
-            assert [v & 7 for v in _lanes_of(code, 16, len(walks))] == [
-                s >> 11 + 3 * k & 7 for s in walks], k
+    @pytest.mark.parametrize("side", [1024, (1 << 15) + 1])
+    def test_step_codes_for_every_run_length(self, side, rng):
+        """Step k of walk i, bits lo + 3k to lo + 3k + 2 of its subseed, in
+        16-bit and 32-bit lanes, for every run of 1 to 17 steps, so that
+        the last step falls at each place of the two windows of 8 steps,
+        and for a long run of 1,037 steps; the subseeds carry bits past the
+        last step."""
+        lo = 11
+        for steps in [*range(1, 18), 1037]:
+            walks = [rng.getrandbits(lo + 3 * steps + 40) for _ in range(5)]
+            lanes = bitext._Lanes(side, len(walks))
+            codes = list(islice(lanes.step_codes(walks, lo, steps), steps))
+            assert len(codes) == steps
+            for k, code in enumerate(codes):
+                assert [v & 7 for v in _lanes_of(code, lanes.width, 5)] == [
+                    s >> lo + 3 * k & 7 for s in walks], (steps, k)
 
     def test_run_at_the_lu_cached_geometry_under_768_kib(self, rng):
         """One ``extract`` of 256 walks at n = 2^20 (c = 9, ell = 168)
         allocates under 768 KiB at its peak: less than a digit view of the
-        input (1 MiB), and near the 192 KiB of packed step codes of
-        bitext._CHUNK_STEPS steps."""
+        input (1 MiB), and near the 141 KiB of the run's packed step codes
+        (564 bytes a walk)."""
         ext = LuExtractor(1 << 20, 9, 168)
         prepared = ext.prepare(rand_buf(rng, ext.n))
         subs = [rand_bits(rng, ext.t_req) for _ in range(256)]
@@ -544,6 +549,11 @@ class TestInterface:
         ext = from_params(p)
         assert isinstance(ext, LuExtractor)
         assert (ext.n, ext.c, ext.ell) == (p.n, p.c, p.ell)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_empty_run_is_zero(self, rng, family):
+        ext = rand_extractor(rng, family, 64)
+        assert ext.extract(ext.prepare(rand_buf(rng, 64)), []) == 0
 
     def test_determinism(self, rng):
         for ext in (XorExtractor(128, 4), RshExtractor(128, 8),
