@@ -38,6 +38,7 @@ RSH_ARGS = ["--bitext", "rsh", "-n", "4096", "--alpha", "0.9",
             "--eps", "0.01"]
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestDryRun:
@@ -618,6 +619,146 @@ class TestDesignTools:
         assert not out.exists()
         assert run(extract + ["--load-design", str(cache)]) == 0
         assert out.exists()
+
+
+class TestProcess:
+    """The CLI as users run it, ``python -m trevex.cli`` in a process of
+    its own: cli.entry() ends the process by os._exit once main() has
+    returned and stdout and stderr are flushed, so whatever the process
+    reports must arrive as in-process calls of cli.main report it."""
+
+    @staticmethod
+    def _process(argv, launch=("-m", "trevex.cli"), unbuffered=False,
+                 **kwargs):
+        """argv run by a fresh interpreter.  Its stdout is buffered, as a
+        pipe's or a file's is by default, unless unbuffered is set."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        kwargs.setdefault("capture_output", True)
+        return subprocess.run([sys.executable, *launch, *argv], text=True,
+                              env=env, timeout=120, **kwargs)
+
+    @staticmethod
+    def _files(tmp_path, seed_bytes=2048):
+        rng = random.Random(31)
+        inp, sd = tmp_path / "input.bin", tmp_path / "seed.bin"
+        inp.write_bytes(rng.randbytes(512))
+        sd.write_bytes(rng.randbytes(seed_bytes))
+        return ["--input", str(inp), "--seed", str(sd)]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_extraction_report_and_output_match_in_process(
+            self, threads, tmp_path, capsys):
+        base = RSH_ARGS + ["-m", "64", "--threads", threads]
+        base += self._files(tmp_path)
+        proc = self._process(base + ["--output", str(tmp_path / "proc.bin")])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert run(base + ["--output", str(tmp_path / "main.bin")]) == 0
+        lines = proc.stdout.splitlines()
+        assert [line.partition("=")[0] for line in lines] == [
+            "bits_in", "bits_out", "d", "wall_time_s"]
+        assert lines[:3] == capsys.readouterr().out.splitlines()[:3]
+        assert ((tmp_path / "proc.bin").read_bytes()
+                == (tmp_path / "main.bin").read_bytes())
+
+    def test_dry_run_report_matches_in_process(self, capsys):
+        proc = self._process(RSH_ARGS + ["--dry-run"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert run(RSH_ARGS + ["--dry-run"]) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def _trigger(self, code, tmp_path):
+        """The argv of an in-process test that exits with code, and the
+        start of the stderr line it gets."""
+        extract = RSH_ARGS + ["-m", "64", "--output", str(tmp_path / "o")]
+        if code == 1:
+            return ["--frobnicate"], "usage error: "
+        if code == 2:
+            return (TestRshBlockAbove64.ARGS + ["--dry-run"],
+                    "infeasible parameters: ")
+        if code == 3:  # d = 3481 bits need 436 bytes
+            return extract + self._files(tmp_path, 435), "insufficient data: "
+        if code == 4:
+            return (extract + ["--input", str(tmp_path / "absent.bin"),
+                               "--seed", str(tmp_path / "absent.bin")],
+                    "I/O or format error: ")
+        good = make_design(DesignVariant.GFP, 11, 20)
+        rows = [good.compute_Si(i) for i in range(20)]
+        rows[13][0] = rows[13][1]  # as in test_bad_design_exits_5
+        cache = tmp_path / "bad.twd"
+        design_save(LoadedBasicDesign(good.t_act, 20, rows[good.t_act:]), cache)
+        return ["--verify-design", str(cache)], "verification failed: row 13"
+
+    @pytest.mark.parametrize("code", [1, 2, 3, 4, 5])
+    def test_exit_code_comes_with_its_stderr_line(self, code, tmp_path,
+                                                  capsys):
+        argv, start = self._trigger(code, tmp_path)
+        proc = self._process(argv)
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert proc.returncode == code
+        assert proc.stderr.startswith(start) and proc.stderr.count("\n") == 1
+        assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_stdout_reader_gone_never_exits_0(self, unbuffered):
+        # Buffered, the report fails at entry()'s flush and the normal exit
+        # reports it (code 120); unbuffered, print fails in main() (code 4).
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = self._process(RSH_ARGS + ["--dry-run"],
+                                 unbuffered=unbuffered, capture_output=False,
+                                 stdout=w, stderr=subprocess.PIPE)
+        finally:
+            os.close(w)
+        assert proc.returncode == (4 if unbuffered else 120)
+        assert "Broken pipe" in proc.stderr
+
+    def test_closed_stdout_exits_0(self):
+        # Started without fd 1, Python sets sys.stdout to None and print
+        # writes nothing; the job still succeeds.
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m trevex.cli "$@" >&-', sys.executable,
+             *RSH_ARGS, "--dry-run"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_profiler_prints_its_table(self):
+        proc = self._process(RSH_ARGS + ["--dry-run"],
+                             launch=("-m", "cProfile", "-m", "trevex.cli"))
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("n=4096\n")
+        assert "function calls" in proc.stdout
+        assert "Ordered by" in proc.stdout
+
+    def test_help_exits_the_normal_way(self):
+        proc = self._process(["--help"])
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: trevex")
+
+    @pytest.mark.skipif(
+        not Path(f"/proc/self/task/{os.getpid()}/children").is_file(),
+        reason="needs /proc with per-task children lists")
+    def test_main_leaves_no_file_or_child(self, tmp_path, capsys):
+        # What entry() relies on before os._exit: a run that fans out and
+        # writes a cache and an output has closed and reaped all of it.
+        def held():
+            kids = set()
+            for task in Path("/proc/self/task").iterdir():
+                kids |= set((task / "children").read_text().split())
+            return set(os.listdir("/proc/self/fd")), kids
+
+        before = held()
+        assert run(RSH_ARGS + ["-m", "64", "--threads", "3",
+                               "--save-design", str(tmp_path / "d.twd"),
+                               "--output", str(tmp_path / "out.bin")]
+                   + self._files(tmp_path)) == 0
+        assert held() == before
+
 
 class TestFootprint:
     def test_seed_read_holds_the_data_once(self, tmp_path):
