@@ -25,7 +25,7 @@ from operator import getitem, itemgetter, xor
 
 from .finfield import find_irreducible
 from .params import ExtractorParams, InfeasibleParameters, ceil_log2
-from .trevisan import _MOVE_BIT, BitBuffer
+from .trevisan import BitBuffer
 
 
 def _bits(bit, prepared, subseeds) -> int:
@@ -219,9 +219,12 @@ class RshExtractor:
 
 
 # _ONE_HOT maps a byte to 1 << (its low 3 bits); _DIGITS maps 0 and 0x80
-# to "0" and "1".
+# to "0" and "1"; _TOP_BIT[o] maps a byte to its bit o moved to bit 7, the
+# other bits cleared: over the bytes 0..255, bit o runs in alternating
+# blocks of 2**o.
 _ONE_HOT = bytes([1, 2, 4, 8, 16, 32, 64, 128]) * 32
 _DIGITS = bytes.maketrans(b"\0\x80", b"01")
+_TOP_BIT = [(bytes(1 << o) + b"\x80" * (1 << o)) * (128 >> o) for o in range(8)]
 
 
 class _Lanes:
@@ -378,8 +381,8 @@ class LuExtractor:
     call takes the c steps between two remembered vertices, and the vertex
     is recovered from the walk state for its read.  The ell hash bits of
     every subseed are packed once, and hash bit j of the whole run is a
-    strided byte slice read through a _MOVE_BIT table, as
-    trevisan.slice_subseed reads range rows.
+    strided byte slice read through a _TOP_BIT table, which moves the
+    bit to bit 7 of each walk's byte, where the vertex read puts its bit.
     """
 
     def __init__(self, n: int, c: int, ell: int):
@@ -422,7 +425,7 @@ class LuExtractor:
                 u, v, moved_y = walk(u, v, moved_y, islice(codes, c))
             swap = (u ^ v) & moved_y
             out ^= read(prepared, u ^ swap, v ^ swap) & int.from_bytes(
-                hashes[j >> 3::size].translate(_MOVE_BIT[j & 7][7]), "little")
+                hashes[j >> 3::size].translate(_TOP_BIT[j & 7]), "little")
         return int(out.to_bytes(count, "little").translate(_DIGITS)[::-1], 2)
 
 

@@ -8,19 +8,24 @@ extractor.extract(prepared, subseeds) is the bit of subseeds[k], where
 prepared is extractor.prepare(input).  extract_all parses the input once
 per call and holds the prepared value only for the length of the call; the
 extractor keeps nothing, so a later call sees the input's current contents.
-Beside the input it prepares the seed, once per call and before any fork:
-when the design can yield list rows (its degree design.c >= 1), it builds
-the seed's digit view (SeedDigits), one ASCII digit per seed bit, d bytes
-in all, and slice_subseed reads each list row from it with one C-level
-itemgetter.  Only list rows use the digit view.  Range rows are read as
-packed bits, by strided slices of the seed's bytes that land each bit in
-place, and a degree-0 design, whose rows are all ranges, builds no view.
-slice_subseed has these two paths and no third: a list row over a packed
-BitBuffer raises TypeError.  Bits are sharded
+Beside the input it prepares the seed, once per call and before any fork,
+as a SeedView.  Range rows are read as packed bits: for each of a row's
+first 8 positions j, one strided slice of the seed's bytes, read as an
+int, is a column that holds subseed bits j, j+8, ... at one bit offset,
+and is shifted and masked into place.  Rows a, ..., a+7 share most of
+their columns, so the view keeps the last column read for each j, at most
+8 in all, and a run of consecutive rows reads each column about once per
+8 rows.  When the design can yield list rows (its degree design.c >= 1),
+the view also holds the seed's digit view, one ASCII digit per seed bit,
+d bytes in all, and slice_subseed reads each list row from it with one
+C-level itemgetter; a degree-0 design, whose rows are all ranges, builds
+no digit view.  slice_subseed has these two paths and no third: a list
+row over a packed BitBuffer raises TypeError.  Bits are sharded
 contiguously across processes: the caller computes the first shard itself,
 and each other shard is computed by a child forked from the caller, which
-inherits the job, the prepared input and the digit view (nothing is
-pickled on the way in) and writes its packed bits back through a pipe.
+inherits the job, the prepared input and the view (nothing is pickled on
+the way in), fills its own copy of the view's columns, and writes its
+packed bits back through a pipe.
 Each process first moves itself onto a CPU of its own, without staying
 pinned there.  Shards land in disjoint bit ranges, so the output is
 byte-identical for any worker count; no job state lives at module level.
@@ -92,54 +97,83 @@ class BitBuffer:
 # _ASCII_BIT[o] maps a byte to the ASCII digit ("0" or "1") of its bit o:
 # over the bytes 0..255, bit o runs in alternating blocks of 2**o.
 _ASCII_BIT = [(b"0" * (1 << o) + b"1" * (1 << o)) * (128 >> o) for o in range(8)]
-# _MOVE_BIT[o][j] maps a byte b to (b >> o & 1) << j: its bit o moved to
-# bit j, the other bits cleared.  Translated from _ASCII_BIT, so that the 64
-# tables cost no per-byte Python loop at import.  LU's hash planes
-# (bitext.LuExtractor.extract) read them too, moving each bit to bit 7.
-_MOVE_BIT = [[digits.translate(bytes(48) + bytes((0, 1 << j)) + bytes(206))
-              for j in range(8)] for digits in _ASCII_BIT]
 
 
-class SeedDigits:
-    """A seed as one extract_all call reads it when its design can yield
-    list rows: the BitBuffer's bytes, shared and not copied, and its digit
-    view, one ASCII digit (b"0" or b"1") per bit, len_bits bytes.  Made
-    afresh for each call, since a BitBuffer is mutable."""
+def _digit_view(seed: BitBuffer) -> bytearray:
+    """One ASCII digit (b"0" or b"1") per seed bit, len_bits bytes."""
+    buf = seed._buf
+    digits = bytearray(8 * len(buf))
+    # 32 KiB of the seed at a time, so that the view is the only
+    # allocation of a size near d
+    for at in range(0, len(buf), 1 << 15):
+        part = buf[at:at + (1 << 15)]
+        for o in range(8):
+            digits[8 * at + o:8 * (at + len(part)):8] = part.translate(
+                _ASCII_BIT[o])
+    del digits[seed.len_bits:]  # the digits of the last byte's padding
+    return digits
 
-    __slots__ = ("len_bits", "_buf", "digits")
 
-    def __init__(self, seed: BitBuffer):
+def _cursor(step: int, n: int) -> tuple:
+    """A cursor of range-row columns, for rows of n positions step apart:
+    (step, n, masks, columns).  masks[j], for each j < min(8, n), has bit
+    j of each of the (n - j + 7) // 8 bytes of column j set; columns[j]
+    is (start byte, column) of the last column read for position j, or
+    (-1, 0) before the first."""
+    masks = [int.from_bytes(b"\1" * (n - j + 7 >> 3), "little") << j
+             for j in range(min(8, n))]
+    return step, n, masks, [(-1, 0)] * 8
+
+
+class SeedView:
+    """A seed as one extract_all call reads it: the BitBuffer's bytes,
+    shared and not copied; when its design can yield list rows (digits),
+    its digit view, one ASCII digit (b"0" or b"1") per bit, len_bits
+    bytes, else None; and the cursor of the range rows read last, which
+    keeps at most 8 columns.  Made afresh for each call, since a
+    BitBuffer is mutable."""
+
+    __slots__ = ("len_bits", "_buf", "digits", "_cursor")
+
+    def __init__(self, seed: BitBuffer, digits: bool = True):
         self.len_bits = seed.len_bits
-        buf = self._buf = seed._buf
-        digits = bytearray(8 * len(buf))
-        # 32 KiB of the seed at a time, so that the view is the only
-        # allocation of a size near d
-        for at in range(0, len(buf), 1 << 15):
-            part = buf[at:at + (1 << 15)]
-            for o in range(8):
-                digits[8 * at + o:8 * (at + len(part)):8] = part.translate(
-                    _ASCII_BIT[o])
-        del digits[seed.len_bits:]  # the digits of the last byte's padding
-        self.digits = digits
+        self._buf = seed._buf
+        self.digits = _digit_view(seed) if digits else None
+        self._cursor = _cursor(0, 0)  # no row has step 0
+
+    def cursor(self, step: int, n: int) -> tuple:
+        """The cursor of rows of n positions step apart, kept until a row
+        of another step or length is read."""
+        cursor = self._cursor
+        if cursor[0] != step or cursor[1] != n:
+            cursor = self._cursor = _cursor(step, n)
+        return cursor
 
 
-def slice_subseed(seed: BitBuffer | SeedDigits, indices) -> int:
+def slice_subseed(seed: BitBuffer | SeedView, indices) -> int:
     """Bits of the seed at the given positions, in order, LSB-first; a
     position outside [0, len_bits) raises IndexError.
 
-    A range with a positive step is read by strided byte slices, from
-    either form of the seed: its positions j, j+8, j+16, ... share one bit
-    offset and lie step bytes apart, so for each of its first 8 positions
-    j, a table (_MOVE_BIT) moves that offset's bit of every byte of the
-    slice to bit j, and the translated slice, read little-endian, holds
-    subseed bits j, j+8, j+16, ... in place.  Any other row is gathered by
-    one itemgetter from a SeedDigits' digit view, whose own IndexError
-    bounds it above, and packed by int() from that string of binary
-    digits, last position first; on a BitBuffer it raises TypeError."""
+    A range of positive step, with start a and n positions, is read as
+    packed bits, from either form of the seed: its positions j, j+8,
+    j+16, ... lie step bytes apart, so for each j < min(8, n) the
+    k = (n - j + 7) // 8 bytes from byte b = (a + j*step) >> 3, step bytes
+    apart, read little-endian, are a column that holds subseed bits j,
+    j+8, ... at bit (a + j*step) & 7 of its bytes.  Each column is
+    shifted to bit j and masked, and the columns ORed together are the
+    subseed.  Rows a, ..., a+7 mostly read the same columns, so a SeedView
+    keeps the last column read for each j, and reuses it for a row of the
+    same start byte, step and k; on a BitBuffer every column is read.  Any
+    other row is gathered by one itemgetter from a SeedView's digit view,
+    whose own IndexError bounds it above, and packed by int() from that
+    string of binary digits, last position first; on a BitBuffer, or a
+    view made without digits, it raises TypeError."""
     strided = isinstance(indices, range) and indices.step > 0
-    if not strided and not isinstance(seed, SeedDigits):
+    view = seed if isinstance(seed, SeedView) else None
+    if not strided and (view is None or view.digits is None):
         raise TypeError("a row other than a range of positive step is read "
-                        "from the seed's SeedDigits view, not a BitBuffer")
+                        "from the digit view of the seed's SeedView, not a "
+                        "BitBuffer")
     if not indices:
         return 0
     if (indices[0] if strided else min(indices)) < 0:
@@ -154,17 +188,24 @@ def slice_subseed(seed: BitBuffer | SeedDigits, indices) -> int:
     if indices[-1] >= seed.len_bits:
         raise _outside(seed)
     buf = seed._buf
-    n, step = len(indices), indices.step
-    from_bytes = int.from_bytes  # bound once, not once per slice
+    pos, step, n = indices.start, indices.step, len(indices)
+    _, _, masks, columns = (_cursor if view is None else view.cursor)(step, n)
     out = 0
-    for j, pos in enumerate(indices[:8]):
-        byte = pos >> 3
-        out |= from_bytes(buf[byte:byte + (n - j + 7 >> 3) * step:step]
-                          .translate(_MOVE_BIT[pos & 7][j]), "little")
+    for j, mask in enumerate(masks):
+        at = pos >> 3
+        column = columns[j]
+        if column[0] != at:  # the step and k are the cursor's
+            k = n - j + 7 >> 3
+            column = columns[j] = (at, int.from_bytes(
+                buf[at:at + k * step:step], "little"))
+        shift = (pos & 7) - j
+        out |= (column[1] >> shift if shift >= 0
+                else column[1] << -shift) & mask
+        pos += step
     return out
 
 
-def _outside(seed: BitBuffer | SeedDigits) -> IndexError:
+def _outside(seed: BitBuffer | SeedView) -> IndexError:
     return IndexError(f"subseed position outside [0, {seed.len_bits})")
 
 
@@ -300,12 +341,11 @@ def extract_all(job: ExtractionJob) -> BitBuffer:
         raise ValueError(f"input has {len(job.input)} bits, extractor "
                          f"takes n={job.extractor.n}")
     prepared = job.extractor.prepare(job.input)
-    # A design of degree c >= 1 yields list rows, so this call's job reads
-    # the seed through its digit view, built before the fan-out so that
-    # every worker shares it.
-    if job.design.c:
-        job = ExtractionJob(job.input, SeedDigits(job.seed), job.design,
-                            job.extractor, job.m, job.workers)
+    # This call's job reads the seed through its own view, made before the
+    # fan-out so that every worker starts from it; a design of degree
+    # c >= 1 yields list rows, which read its digit view.
+    job = ExtractionJob(job.input, SeedView(job.seed, digits=job.design.c >= 1),
+                        job.design, job.extractor, job.m, job.workers)
     m = job.m
     workers = max(1, job.workers)
     if workers == 1 or m < 2 * workers:

@@ -37,17 +37,42 @@ class OverlapReport:
     error: str | None = None  # why it failed, naming the first bad row
 
 
+def _runs(design):
+    """(lo, hi, block) of the design's rows in order: the rows [lo, hi)
+    are read, or, where block is not None, they are block (0 for a basic
+    design)'s rows below t of a loaded cache, which stores none of them:
+    the construction's ranges {block*t*t + x*t + k : x < t}, k = i - lo."""
+    t, m = design.t_act, design.m
+    if not isinstance(getattr(design, "basic", None), LoadedBasicDesign):
+        return [(0, m, None)]
+    sizes = design.m_list if design.variant.is_block else [m]
+    runs, lo = [], 0
+    for block, size in enumerate(sizes):
+        runs.append((lo, lo + min(size, t), block))
+        if size > t:  # the stored rows from t on
+            runs.append((lo + t, lo + size, None))
+        lo += size
+    return runs
+
+
 def overlap_check(design) -> OverlapReport:
     """Checks, in one pass, that each row has t distinct elements in [0, d)
     (the first bad row ends the check), and max_i sum_{j<i} 2^{|S_j cap S_i|}
     against r*m: exactly m for block designs (r = 1), (543657/100000)*m for
-    basic designs (r = 2e), in exact integers.  Stride-t range rows
-    {a + x*t : x < t} are kept as their starts, by residue mod t: two meet
-    only in a common residue, in t - |a - b|/t elements.  The other rows'
-    elements are indexed: element k of row i is at position i*t + k;
-    last[e] is the latest position of element e, before[p] the previous
-    position of p's element: 4*d + 4*m*t bytes, allocated at the first
-    such row (a design of 2**31 positions or more raises OverflowError).
+    basic designs (r = 2e), in exact integers.
+
+    A loaded cache's rows below t, which it does not store, are the
+    construction's ranges, and are not read: within a block they are
+    distinct residues mod t, so each meets no earlier row and row i sums
+    to i, and an element e of a later stored row of the block meets the
+    one of residue e % t.  A stored row must lie within its block.  Other
+    stride-t range rows {a + x*t : x < t} are kept as their starts, by
+    residue mod t: two meet only in a common residue, in t - |a - b|/t
+    elements.  The other rows' elements are indexed: element k of row i
+    is at position i*t + k; last[e] is the latest position of element e,
+    before[p] the previous position of p's element: 4*d + 4*m*t bytes,
+    allocated at the first such row (a design of 2**31 positions or more
+    raises OverflowError).
     """
     t, m, d = design.t_act, design.m, design.d
     num, den = ((m, 1) if design.variant.is_block
@@ -55,45 +80,56 @@ def overlap_check(design) -> OverlapReport:
     starts = {}  # a % t -> [(a, i), ...] of the stride-t range rows so far
     last = before = None
     worst_row = worst_sum = 0
-    for i in range(m):
-        row = design.compute_Si(i)
-        stride = isinstance(row, range) and row.step == t
-        distinct = len(row) if isinstance(row, range) else len(set(row))
-        if distinct != t or len(row) != t:
-            return OverlapReport(i, worst_sum, num, den, False, f"row {i} has "
-                                 f"{distinct} distinct elements, want {t}")
-        ends = (row[0], row[-1]) if isinstance(row, range) else row
-        if min(ends) < 0 or max(ends) >= d:
-            return OverlapReport(i, worst_sum, num, den, False,
-                                 f"row {i} outside [0, {d})")
-        shared = Counter()  # earlier row -> elements shared with this one
-        if stride:  # only stride rows of its residue can meet it
-            a = row.start
-            for b, j in starts.get(a % t, ()):
-                if abs(a - b) < t * t:
-                    shared[j] += t - abs(a - b) // t
-            starts.setdefault(a % t, []).append((a, i))
-        elif starts:  # each element meets the stride rows of its residue
-            for e in row:
-                for b, j in starts.get(e % t, ()):
-                    if b <= e < b + t * t:
-                        shared[j] += 1
-        if last is None and not stride:
-            last, before = array("i", [-1]) * d, array("i", [0]) * (m * t)
-        if last is not None:  # the indexed rows it meets; stride rows stay out
-            hits = []
-            for pos, e in enumerate(row, i * t):
-                p = last[e]
-                if not stride:
-                    before[pos] = p
-                    last[e] = pos
-                while p >= 0:
-                    hits.append(p)
-                    p = before[p]
-            shared.update(map(floordiv, hits, repeat(t)))
-        total = i - len(shared) + sum(1 << c for c in shared.values())
-        if total > worst_sum:
-            worst_row, worst_sum = i, total
+    ranges = None  # the first of the unread range rows of this block
+    floor, ceil = 0, d  # where the block's rows lie
+    for lo, hi, block in _runs(design):
+        if block is not None:
+            ranges, floor, ceil = lo, block * t * t, (block + 1) * t * t
+            if hi - 1 > worst_sum:  # sums lo, ..., hi - 1
+                worst_row = worst_sum = hi - 1
+            continue
+        for i in range(lo, hi):
+            row = design.compute_Si(i)
+            stride = isinstance(row, range) and row.step == t
+            distinct = len(row) if isinstance(row, range) else len(set(row))
+            if distinct != t or len(row) != t:
+                return OverlapReport(i, worst_sum, num, den, False,
+                                     f"row {i} has {distinct} distinct "
+                                     f"elements, want {t}")
+            ends = (row[0], row[-1]) if isinstance(row, range) else row
+            if min(ends) < floor or max(ends) >= ceil:
+                return OverlapReport(i, worst_sum, num, den, False,
+                                     f"row {i} outside [{floor}, {ceil})")
+            shared = Counter()  # earlier row -> elements shared with this one
+            if ranges is not None:  # one unread range row per residue
+                shared.update([ranges + e % t for e in row])
+            elif stride:  # only stride rows of its residue can meet it
+                a = row.start
+                for b, j in starts.get(a % t, ()):
+                    if abs(a - b) < t * t:
+                        shared[j] += t - abs(a - b) // t
+                starts.setdefault(a % t, []).append((a, i))
+            elif starts:  # each element meets the stride rows of its residue
+                for e in row:
+                    for b, j in starts.get(e % t, ()):
+                        if b <= e < b + t * t:
+                            shared[j] += 1
+            if last is None and not stride:
+                last, before = array("i", [-1]) * d, array("i", [0]) * (m * t)
+            if last is not None:  # the indexed rows it meets; stride rows stay out
+                hits = []
+                for pos, e in enumerate(row, i * t):
+                    p = last[e]
+                    if not stride:
+                        before[pos] = p
+                        last[e] = pos
+                    while p >= 0:
+                        hits.append(p)
+                        p = before[p]
+                shared.update(map(floordiv, hits, repeat(t)))
+            total = i - len(shared) + sum(1 << c for c in shared.values())
+            if total > worst_sum:
+                worst_row, worst_sum = i, total
     passed = worst_sum * den <= num
     return OverlapReport(worst_row, worst_sum, num, den, passed, None if passed
                          else f"row {worst_row} overlap sum {worst_sum} "

@@ -384,6 +384,12 @@ class TestLu:
         assert ext.n_v == 100
         assert ext.t_req == 7 + 3 * 3 * 6 + 7
 
+    def test_bit_tables_match_their_definition(self):
+        """The hash planes' tables: byte b to its bit o moved to bit 7."""
+        assert len(bitext._TOP_BIT) == 8
+        for o, table in enumerate(bitext._TOP_BIT):
+            assert table == bytes((b >> o & 1) << 7 for b in range(256))
+
 
 def _stepped_walk(x, y, walk, steps, side):
     """(x, y) after the given number of single steps by LU_NEIGHBOR_RULES,

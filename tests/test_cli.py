@@ -416,24 +416,49 @@ class TestDesignTools:
         assert str(2 ** 41 + 41 * 2 + 3) in captured.err
 
     @pytest.mark.parametrize("variant, m", [
-        (DesignVariant.GFP, 8), (DesignVariant.BLOCK_GFP, 40)],
+        (DesignVariant.GFP, 12), (DesignVariant.BLOCK_GFP, 80)],
         ids=["gfp", "block-gfp"])
-    def test_duplicate_range_row_exits_5(self, variant, m, tmp_path, capsys,
-                                         monkeypatch):
-        # A degree-0 cache (t = 11), every row a stride-t range that the
-        # check reads by its start alone: row 5, given as row 3, shares
-        # all 11 elements with it and none with rows 0, 1, 2 and 4.
+    def test_duplicate_range_row_exits_5(self, variant, m, tmp_path, capsys):
+        # t = 11, and basic row 11, the first that a cache stores, planted
+        # as a copy of the range row 3 that the check does not read: it
+        # shares all 11 elements with row 3 and none with the other ten
+        # range rows of its block.  The block design's first block holds
+        # 14 rows, basic rows 0 to 13.
+        good = make_design(variant, 11, m)
+        t = good.t_act
+        stored = [good.basic.compute_Si(i) for i in range(t, good.basic.m)]
+        stored[0] = list(range(3, 3 + t * t, t))
+        loaded = (weakdesign.LoadedBlockDesign if variant.is_block
+                  else LoadedBasicDesign)
         cache = tmp_path / "design.twd"
-        design_save(make_design(variant, 11, m), cache)
-        loaded = type(design_load(cache))
-        compute = loaded.compute_Si
-        monkeypatch.setattr(loaded, "compute_Si",
-                            lambda self, i: compute(self, 3 if i == 5 else i))
+        design_save(loaded(t, m, stored), cache)
         assert run(["--verify-design", str(cache)]) == 5
         captured = capsys.readouterr()
         assert "verified" not in captured.out
-        assert (f"row 5 overlap sum {2 ** 11 + 4} exceeds the r*m bound"
+        assert (f"row 11 overlap sum {2 ** 11 + 10} exceeds the r*m bound"
                 in captured.err)
+
+    def test_verify_of_a_huge_degree_zero_header_is_bounded(self, tmp_path,
+                                                            capsys):
+        # The 33-byte gfp cache of t = m = 1,000,000,007: its rows are the
+        # construction's ranges, which the check sums in closed form (row
+        # i: i) without reading one, in a few KiB.
+        t = 1_000_000_007
+        head = b"TWD2" + struct.pack("<BQQQ", DesignVariant.GFP.value, t, t,
+                                     t * t)
+        cache = tmp_path / "huge.twd"
+        cache.write_bytes(head + struct.pack("<I", zlib.crc32(head)))
+        tracemalloc.start()
+        try:
+            code = run(["--verify-design", str(cache)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 1 << 16, peak
+        rep = parse_report(capsys)
+        assert rep["verified"] == "true"
+        assert rep["overlap_worst_sum"] == str(t - 1)
+        assert rep["overlap_bound"] == "5436570038.05599"  # 543657*t/100000
 
     def test_corrupted_cache_exits_4(self, tmp_path):
         cache = tmp_path / "design.twd"

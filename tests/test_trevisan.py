@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -84,7 +85,7 @@ class TestBitBuffer:
 
 class TestSliceSubseed:
     """slice_subseed on ranges of positive step, from the packed seed, and
-    on any other row, from its SeedDigits view, against the per-bit
+    on any other row, from its SeedView's digit view, against the per-bit
     reference read from to_bytes()."""
 
     def test_identity_prefix(self, rng):
@@ -94,7 +95,7 @@ class TestSliceSubseed:
 
     def test_hand_selection(self):
         seed = buf_from_bits([1, 0, 1, 1, 0])
-        sub = slice_subseed(trevisan.SeedDigits(seed), [4, 0, 2])
+        sub = slice_subseed(trevisan.SeedView(seed), [4, 0, 2])
         assert [sub >> i & 1 for i in range(3)] == [0, 1, 1]
 
     def test_length(self):
@@ -106,11 +107,11 @@ class TestSliceSubseed:
         with pytest.raises(IndexError):
             slice_subseed(BitBuffer(4), range(5, 6))
         with pytest.raises(IndexError):
-            slice_subseed(trevisan.SeedDigits(BitBuffer(4)), [5])
+            slice_subseed(trevisan.SeedView(BitBuffer(4)), [5])
 
     def test_matches_per_bit_reference(self, rng):
         seed = rand_buf(rng, 1003)
-        view = trevisan.SeedDigits(seed)
+        view = trevisan.SeedView(seed)
         unsorted = [rng.randrange(1003) for _ in range(300)]
         duplicates = [7, 7, 1002, 0, 7, 1002, 0]
         for indices in (unsorted, duplicates):
@@ -124,7 +125,7 @@ class TestSliceSubseed:
     def test_no_indices(self):
         seed = BitBuffer(8, 0xFF)
         assert slice_subseed(seed, range(0)) == 0
-        assert slice_subseed(trevisan.SeedDigits(seed), []) == 0
+        assert slice_subseed(trevisan.SeedView(seed), []) == 0
 
     @pytest.mark.parametrize("indices", [[-1], [0, 3, 5], [0, 8], [1 << 20]],
                              ids=["negative", "padding", "past-buffer",
@@ -133,7 +134,7 @@ class TestSliceSubseed:
         # bit 5 of a 4-bit seed lies in the padding of its one byte
         seed = BitBuffer(4, 0b1111)
         with pytest.raises(IndexError):
-            slice_subseed(trevisan.SeedDigits(seed), indices)
+            slice_subseed(trevisan.SeedView(seed), indices)
         with pytest.raises(IndexError):
             slice_subseed(seed, range(indices[-1], indices[-1] + 1))
 
@@ -146,7 +147,7 @@ class TestSliceSubseed:
         r = range(start, start + step * length, step)
         bits = (r[-1] if r else start) + 1 + slack
         seed = BitBuffer(bits, rnd.getrandbits(bits))
-        view = trevisan.SeedDigits(seed)
+        view = trevisan.SeedView(seed)
         want = _reference(seed, r)
         assert slice_subseed(seed, r) == slice_subseed(view, r) == want
         assert slice_subseed(view, list(r)) == want
@@ -155,27 +156,65 @@ class TestSliceSubseed:
                 == _reference(seed, r[::-1]))
 
     @pytest.mark.parametrize("step, length, offset, starts", [
-        (4703, 4697, 0, [*range(16), 4702]),
-        (101, 100, 2 * 101 ** 2, [*range(16), 100])],
-        ids=["lu-cached", "rsh-block-last-block"])
+        (4703, 4697, 0, [*range(24), 508, 4702]),
+        (101, 100, 2 * 101 ** 2, [*range(16), 100]),
+        # the first two and last two rows of each block of the rsh-block
+        # design, whose blocks hold 22, 18 and 83 rows
+        (101, 100, 0, [j * 101 ** 2 + k for j, mj in enumerate((22, 18, 83))
+                       for k in (0, 1, mj - 2, mj - 1)])],
+        ids=["lu-cached", "rsh-block-last-block", "rsh-block-every-block"])
     def test_range_at_benchmark_geometries(self, step, length, offset, starts,
                                            rng):
-        """The rows of a degree-0 design at the benchmark's geometries: each
-        position's slice reads bytes step apart, over the whole seed."""
-        bits = offset + step * step
+        """The rows of a degree-0 design at the benchmark's geometries, in
+        order through the view that extract_all makes for them, which
+        reuses its columns from row to row, and from the packed seed,
+        which reads each column afresh.  The seed ends at the last row's
+        last position."""
+        bits = offset + max(starts) + step * (length - 1) + 1
         seed = rand_buf(rng, bits)
-        view = trevisan.SeedDigits(seed)
+        view = trevisan.SeedView(seed, digits=False)
         for start in starts:
             r = range(offset + start, offset + start + step * length, step)
             want = _reference(seed, r)
             assert slice_subseed(seed, r) == slice_subseed(view, r) == want
 
-    def test_bit_tables_match_their_definition(self):
-        assert len(trevisan._MOVE_BIT) == 8
-        for o, tables in enumerate(trevisan._MOVE_BIT):
-            assert len(tables) == 8
-            for j, table in enumerate(tables):
-                assert table == bytes((b >> o & 1) << j for b in range(256))
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 90),
+                              st.sampled_from([1, 7, 8, 13, 101])),
+                    max_size=40),
+           st.integers(0, 80), st.randoms(use_true_random=False))
+    def test_cursor_over_any_row_order(self, rows, extra, rnd):
+        """Rows through one view in any order: forward, in reverse,
+        repeated, with several lengths at one start and several steps, so
+        that a column kept for one row is reused only where it holds the
+        next row's bits."""
+        rows += [(9, 90, 13), (9, 89, 13), (9, 90, 13), (9, 82, 13),
+                 (8, 90, 13), (9, 90, 13), (9, 90, 8), (9, 90, 13)]
+        rows += [(start, 50, 101) for start in range(24)][::-1]
+        bits = 40 + 101 * 90 + extra
+        seed = BitBuffer(bits, rnd.getrandbits(bits))
+        view = trevisan.SeedView(seed, digits=False)
+        for start, length, step in rows:
+            r = range(start, start + step * length, step)
+            assert slice_subseed(view, r) == _reference(seed, r), r
+
+    def test_cursor_holds_at_most_8_columns(self, rng):
+        """After 512 rows of 2,048 positions (columns of 256 bytes) through
+        one view, the view holds its 8 columns and masks: 8 of a
+        column's 512 reads, not one per row."""
+        t, n = 2053, 2048
+        seed = rand_buf(rng, t * t)
+        view = trevisan.SeedView(seed, digits=False)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(512):
+                slice_subseed(view, range(i, i + t * n, t))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(view._cursor[3]) == 8
+        assert held < 16 * (256 + 128), held
 
     @pytest.mark.parametrize("start, step", [(5, 13), (3, 8), (0, 1), (6, 9)])
     def test_one_set_bit_lands_at_its_place(self, start, step):
@@ -186,7 +225,7 @@ class TestSliceSubseed:
         for k, pos in enumerate(r):
             seed = BitBuffer(r[-1] + 1, 1 << pos)
             assert slice_subseed(seed, r) == 1 << k
-            assert slice_subseed(trevisan.SeedDigits(seed), r) == 1 << k
+            assert slice_subseed(trevisan.SeedView(seed), r) == 1 << k
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 300), st.integers(0, 40),
@@ -196,7 +235,7 @@ class TestSliceSubseed:
         r = range(start, start + step * length, step)
         seed = BitBuffer(max(0, r[-1] + 1 - short))
         with pytest.raises(IndexError):
-            slice_subseed(trevisan.SeedDigits(seed), list(r))
+            slice_subseed(trevisan.SeedView(seed), list(r))
         with pytest.raises(IndexError):
             slice_subseed(seed, r)
 
@@ -205,17 +244,19 @@ class TestSliceSubseed:
         ids=["empty", "one", "unsorted-repeated", "reversed", "negative-step"])
     def test_other_rows_read_only_from_the_view(self, indices, rng):
         """Only a range of positive step is read from the packed seed:
-        any other row over a BitBuffer raises TypeError naming SeedDigits,
-        and the same positions over SeedDigits give the reference."""
+        any other row over a BitBuffer, or over a SeedView made without
+        its digit view, raises TypeError naming SeedView, and the same
+        positions over a SeedView's digit view give the reference."""
         seed = rand_buf(rng, 23)
-        with pytest.raises(TypeError, match="SeedDigits"):
-            slice_subseed(seed, indices)
+        for form in (seed, trevisan.SeedView(seed, digits=False)):
+            with pytest.raises(TypeError, match="SeedView"):
+                slice_subseed(form, indices)
         want = _reference(seed, indices)
-        assert slice_subseed(trevisan.SeedDigits(seed), indices) == want
+        assert slice_subseed(trevisan.SeedView(seed), indices) == want
 
 
 class TestGatherFromDigits:
-    """slice_subseed on the SeedDigits that extract_all makes of a
+    """slice_subseed on the SeedView that extract_all makes of a
     BitBuffer, by one itemgetter over its digit view, against the per-bit
     reference read from to_bytes()."""
 
@@ -224,14 +265,14 @@ class TestGatherFromDigits:
         ids=["empty", "one", "unsorted-repeated", "last-bit", "reversed"])
     def test_list_positions(self, indices, rng):
         seed = rand_buf(rng, 23)  # the last byte holds 7 bits
-        assert (slice_subseed(trevisan.SeedDigits(seed), indices)
+        assert (slice_subseed(trevisan.SeedView(seed), indices)
                 == _reference(seed, indices))
 
     @pytest.mark.parametrize("position", [-1, 23], ids=["minus-one", "len"])
     def test_position_outside_raises_the_same_error(self, position, rng):
         # a list over the view, and a range over either form
         seed = rand_buf(rng, 23)
-        view = trevisan.SeedDigits(seed)
+        view = trevisan.SeedView(seed)
         one = range(position, position + 1)
         for form, indices in ((view, [position]), (view, [4, position, 0]),
                               (view, one), (seed, one)):
@@ -243,7 +284,7 @@ class TestGatherFromDigits:
     @given(st.integers(1, 80), st.randoms(use_true_random=False))
     def test_view_matches_bits(self, bits, rnd):
         seed = BitBuffer(bits, rnd.getrandbits(bits))
-        view = trevisan.SeedDigits(seed)
+        view = trevisan.SeedView(seed)
         assert view.digits == bytes(b"01"[bit(seed, i)] for i in range(bits))
         assert view._buf is seed._buf  # the bytes are shared, not copied
         indices = [rnd.randrange(bits) for _ in range(rnd.randrange(40))]
@@ -700,10 +741,32 @@ def _degree_zero_design(shape: str, tmp_path):
             make_design(DesignVariant.BLOCK_GFP, 16, 40))
 
 
+@pytest.mark.parametrize("shape", ["lu-cached", "rsh-block"])
+def test_range_rows_match_naive_oracle_at_every_worker_count(shape, tmp_path):
+    """Every row a range, read through the view's columns in each worker:
+    the same bits at 1, 2 and 3 workers, and a new view's after the
+    seed's bytes change."""
+    if shape == "lu-cached":
+        ext, design = _degree_zero_design(shape, tmp_path)
+    else:  # s = 32 blocks, where the naive RSH oracle is quick
+        ext = RshExtractor(256, 8)
+        design = make_design(DesignVariant.BLOCK_GFP, ext.t_req, 40)
+    assert design.c == 0
+    rng = random.Random(shape)
+    job = ExtractionJob(input=rand_buf(rng, ext.n), seed=rand_buf(rng, design.d),
+                        design=design, extractor=ext, m=40)
+    want = naive_extract(job)
+    for workers in (1, 2, 3):
+        job.workers = workers
+        assert extract_all(job) == want
+    job.seed._buf[:] = bytes(b ^ 0x5A for b in job.seed._buf)
+    assert extract_all(job) == naive_extract(job) != want
+
+
 @pytest.mark.parametrize("shape", ["lu-cached", "rsh-block", "xor-gfp"])
 def test_one_view_per_call_before_any_fork(shape, tmp_path, monkeypatch):
-    """A degree-0 design builds no digit view; a list-row job builds one
-    per extract_all call, before it forks its workers."""
+    """Every job builds one SeedView per extract_all call, before it forks
+    its workers; only a list-row job's view builds the digit view."""
     if shape == "xor-gfp":
         ext, design = XorExtractor(256, 2), _list_row_design("gfp-c1", tmp_path)
     else:
@@ -712,26 +775,26 @@ def test_one_view_per_call_before_any_fork(shape, tmp_path, monkeypatch):
     events = []
     fork = os.fork
 
-    class CountingDigits(trevisan.SeedDigits):
+    class CountingView(trevisan.SeedView):
         __slots__ = ()
 
-        def __init__(self, seed):
-            events.append("view")
-            super().__init__(seed)
+        def __init__(self, seed, digits=True):
+            super().__init__(seed, digits)
+            events.append("view" if self.digits is None else "view+digits")
 
     def counting_fork():
         events.append("fork")
         return fork()
 
-    monkeypatch.setattr(trevisan, "SeedDigits", CountingDigits)
+    monkeypatch.setattr(trevisan, "SeedView", CountingView)
     monkeypatch.setattr(os, "fork", counting_fork)
     rng = random.Random(shape)
     job = ExtractionJob(input=rand_buf(rng, ext.n), seed=rand_buf(rng, design.d),
                         design=design, extractor=ext, m=40, workers=3)
     first = extract_all(job)
     assert extract_all(job) == first == naive_extract(job)
-    view = ["view"] if shape == "xor-gfp" else []
-    assert events == 2 * (view + ["fork", "fork"])
+    view = "view+digits" if shape == "xor-gfp" else "view"
+    assert events == 2 * [view, "fork", "fork"]
 
 
 # SHA-256 of the 40 output bits of one fixed job per (family, variant).

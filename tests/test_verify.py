@@ -9,7 +9,8 @@ from trevex.trevisan import extract_all
 from trevex.verify import BudgetExceededError, naive_extract, overlap_check
 from trevex.params import InfeasibleParameters
 from trevex.weakdesign import (BasicDesign, BlockDesign, DesignVariant,
-                               design_load, design_save, make_design)
+                               LoadedBlockDesign, design_load, design_save,
+                               make_design)
 
 from conftest import FAMILIES, rand_buf, rand_job
 
@@ -95,6 +96,16 @@ class TestOverlapCheck:
             tracemalloc.stop()
         assert (rep.worst_row, rep.worst_sum, rep.passed) == (63, 63, True)
         assert peak < design.d
+
+    def test_stored_row_outside_its_block(self):
+        """A loaded block design's rows below t are summed in closed form,
+        which holds only while every stored row lies in its own block:
+        basic row 7 with an element past t*t = 49 is refused."""
+        good = BlockDesign(7, 100)
+        stored = [good.basic.compute_Si(i) for i in range(7, good.basic.m)]
+        stored[0][-1] = 52
+        rep = overlap_check(LoadedBlockDesign(7, 100, stored))
+        assert not rep.passed and rep.error == "row 7 outside [0, 49)"
 
     def test_xor_gfp_design_pinned(self):
         """The xor-gfp benchmark workload's design (t_req = 1320,
